@@ -20,7 +20,7 @@ from . import evaluation as eval_mod
 from .evaluation import (AblationConfig, TrainConfig, make_model_config,
                          run_protocol, run_ablation, emit_report,
                          train_model, BUCKETS, METRIC_NAMES)
-from .model import Model
+from .model import Model, build_checked
 from .objective import LossWeights
 
 
@@ -43,26 +43,31 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path) as f:
             raw = yaml.safe_load(f) or {}
-        known = {f_.name for f_ in cls.__dataclass_fields__.values()}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        return build_checked(cls, raw, "config file")
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(**self.weights)
+        return build_checked(LossWeights, self.weights, "config section 'weights'")
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(**self.train)
+        return build_checked(TrainConfig, self.train, "config section 'train'")
 
     def ablation_config(self) -> AblationConfig:
-        return AblationConfig(**self.ablation)
+        return build_checked(AblationConfig, self.ablation,
+                             "config section 'ablation'")
+
+    def model_config(self, dataset: data_mod.Dataset):
+        return build_checked(make_model_config, self.model,
+                             "config section 'model'", dataset=dataset)
+
+    def synthetic_spec(self) -> data_mod.SyntheticSpec:
+        return build_checked(data_mod.SyntheticSpec,
+                             _synth_kwargs(self.synthetic),
+                             "config section 'synthetic'")
 
     def load_dataset(self) -> data_mod.Dataset:
         if self.dataset_csv:
             return data_mod.load_csv(self.dataset_csv)
-        spec = data_mod.SyntheticSpec(**_synth_kwargs(self.synthetic))
-        return data_mod.generate_synthetic(spec)
+        return data_mod.generate_synthetic(self.synthetic_spec())
 
 
 def _synth_kwargs(d: dict) -> dict:
@@ -119,8 +124,7 @@ def _add_common(parser) -> None:
 
 def cmd_synth(args) -> int:
     cfg = _build_config(args)
-    spec = data_mod.SyntheticSpec(**_synth_kwargs(cfg.synthetic))
-    dataset = data_mod.generate_synthetic(spec)
+    dataset = data_mod.generate_synthetic(cfg.synthetic_spec())
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "synthetic.csv")
     data_mod.write_csv(dataset, path)
@@ -131,7 +135,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     dataset = cfg.load_dataset()
-    model_cfg = make_model_config(dataset, **cfg.model)
+    model_cfg = cfg.model_config(dataset)
     train_cfg = cfg.train_config()
     seed = cfg.seeds[0]
     model_cfg, weights = cfg.ablation_config().apply(model_cfg,
@@ -161,7 +165,7 @@ def cmd_eval(args) -> int:
     dataset = cfg.load_dataset()
     report = run_protocol(
         dataset, cfg.protocol, cfg.seeds,
-        model_cfg=make_model_config(dataset, **cfg.model),
+        model_cfg=cfg.model_config(dataset),
         weights=cfg.loss_weights(), train_cfg=cfg.train_config(),
         ablation=cfg.ablation_config(), weighted=cfg.weighted, jobs=cfg.jobs)
     emit_report(report, cfg.out_dir)
@@ -184,7 +188,7 @@ def cmd_ablate(args) -> int:
     dataset = cfg.load_dataset()
     reports = run_ablation(
         dataset, cfg.protocol, cfg.seeds,
-        model_cfg=make_model_config(dataset, **cfg.model),
+        model_cfg=cfg.model_config(dataset),
         weights=cfg.loss_weights(), train_cfg=cfg.train_config(),
         weighted=cfg.weighted, jobs=cfg.jobs)
     os.makedirs(cfg.out_dir, exist_ok=True)

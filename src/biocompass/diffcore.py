@@ -99,14 +99,6 @@ class Tape:
 
         return self._push(out, backward)
 
-    def transpose(self, x: Tensor) -> Tensor:
-        out = Tensor(x.data.T, context="transpose")
-
-        def backward(grad):
-            x.accumulate(grad.T)
-
-        return self._push(out, backward)
-
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.shape != b.data.shape:
             raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
@@ -176,30 +168,6 @@ class Tape:
 
         def backward(grad):
             x.accumulate(grad * s)
-
-        return self._push(out, backward)
-
-    def mean_rows(self, x: Tensor) -> Tensor:
-        """Arithmetic mean over the first axis: [L, d] -> [d]."""
-        if x.data.ndim != 2:
-            raise ValueError(f"mean_rows expects a matrix, got shape {x.data.shape}")
-        n_rows = x.data.shape[0]
-        out = Tensor(x.data.mean(axis=0), context="mean_rows")
-
-        def backward(grad):
-            x.accumulate(np.broadcast_to(grad / n_rows, x.data.shape).copy())
-
-        return self._push(out, backward)
-
-    def softmax_rows(self, x: Tensor) -> Tensor:
-        shifted = x.data - x.data.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        s = e / e.sum(axis=1, keepdims=True)
-        out = Tensor(s, context="softmax_rows")
-
-        def backward(grad):
-            inner = (grad * s).sum(axis=1, keepdims=True)
-            x.accumulate(s * (grad - inner))
 
         return self._push(out, backward)
 
@@ -293,19 +261,6 @@ def _check_grad_finite(param: Parameter) -> None:
         raise NonFiniteError(f"non-finite gradient for parameter {param.name}")
 
 
-class SGD:
-    def __init__(self, params, lr: float):
-        self.params = list(params)
-        self.lr = lr
-
-    def step(self) -> None:
-        for p in self.params:
-            if not p.trainable:
-                continue
-            _check_grad_finite(p)
-            p.tensor.data -= self.lr * p.grad
-
-
 class Adam:
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -335,10 +290,3 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             p.tensor.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
-
-def make_optimizer(name: str, params, lr: float):
-    if name == "adam":
-        return Adam(params, lr=lr)
-    if name == "sgd":
-        return SGD(params, lr=lr)
-    raise ValueError(f"unknown optimizer: {name!r}")

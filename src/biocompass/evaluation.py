@@ -5,14 +5,14 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from . import diffcore
-from .data import Dataset, FoldPlan, normalize, apply_normalization, split_by_group
-from .diffcore import Tape, make_optimizer, zero_grads
+from .data import Dataset, normalize, split_by_group
+from .diffcore import Adam, Tape, zero_grads
 from .model import Model, ModelConfig, EncoderConfig
 from .objective import BatchTargets, LossWeights, composite_loss
 
@@ -38,22 +38,9 @@ def roc_auc(scores, labels):
     if n_pos == 0 or n_neg == 0:
         warnings.warn("roc_auc undefined: test labels contain a single class")
         return None
-    ranks = _average_ranks(scores)
+    ranks = scipy_stats.rankdata(scores)  # ties share their average rank
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
-
-
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 def threshold_metrics(probs, labels, threshold: float = 0.5) -> dict:
@@ -111,12 +98,10 @@ def aggregate_seeds(values) -> tuple[float, float, float]:
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adam"
     lr: float = 1e-3
     batch_size: int = 32
     epochs: int = 100
     mode: str = "pft"
-    align_raw_norm: bool = False
     threshold: float = 0.5
 
 
@@ -141,7 +126,7 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
     mean loss breakdowns."""
     model.set_mode(cfg.mode)
     params = model.parameters()
-    opt = make_optimizer(cfg.optimizer, params, cfg.lr)
+    opt = Adam(params, lr=cfg.lr)
     rng = np.random.default_rng(seed)
     train_idx = np.asarray(train_idx)
     history = []
@@ -154,8 +139,7 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
             zero_grads(params)
             out = model.forward(tape, x_norm[batch], dataset.treatments[batch])
             total, breakdown = composite_loss(
-                tape, out, _targets_slice(dataset, batch), weights,
-                align_raw_norm=cfg.align_raw_norm)
+                tape, out, _targets_slice(dataset, batch), weights)
             diffcore.backward(total, tape)
             opt.step()
             for k, v in breakdown.as_dict().items():
@@ -251,20 +235,16 @@ def aggregate_rows(rows, bucket_of_group: dict, group_sizes: dict | None = None,
 
 
 def make_model_config(dataset: Dataset, token_dim: int = 16,
-                      pooling: str = "mean", hidden_dims=(),
-                      gate_hidden: int = 16, classifier_hidden: int = 0,
-                      ) -> ModelConfig:
+                      gate_hidden: int = 16) -> ModelConfig:
     """Model config with the target dims taken from the dataset schema."""
     dims = dataset.dims
     return ModelConfig(
-        encoder=EncoderConfig(gene_count=dims["G"], token_dim=token_dim,
-                              pooling=pooling, hidden_dims=tuple(hidden_dims)),
+        encoder=EncoderConfig(gene_count=dims["G"], token_dim=token_dim),
         gate_hidden=gate_hidden,
         biomarker_dim=dims["d_b"],
         tide_dim=dims["d_T"],
         ipres_dim=dims["d_I"],
         pheno_dim=dims["d_P"],
-        classifier_hidden=classifier_hidden,
     )
 
 

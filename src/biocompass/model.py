@@ -7,13 +7,13 @@ pre-gate concepts).
 """
 from __future__ import annotations
 
+import inspect
 import io
 import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import diffcore
 from .diffcore import Parameter, Tape, Tensor
 
 N_CONCEPTS = 44
@@ -58,17 +58,10 @@ class TreatmentTarget:
 class EncoderConfig:
     gene_count: int = 512
     token_dim: int = 16
-    pooling: str = "mean"  # "mean" or "attention"
-    hidden_dims: tuple = ()
 
     def __post_init__(self):
         if self.gene_count < 1 or self.token_dim < 1:
             raise ValueError("gene_count and token_dim must be positive")
-        if self.pooling not in ("mean", "attention"):
-            raise ValueError(f"unknown pooling: {self.pooling!r}")
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("encoder hidden widths must be >= 1")
 
 
 @dataclass
@@ -79,22 +72,27 @@ class ModelConfig:
     tide_dim: int = 1
     ipres_dim: int = 1
     pheno_dim: int = 3
-    classifier_hidden: int = 0     # 0 = plain linear head
     pathway_hidden: int = 32
     gating_enabled: bool = True
-    aux_on_gated: bool = False     # side heads read pre-gate concepts by default
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["encoder"]["hidden_dims"] = list(self.encoder.hidden_dims)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
-        enc = dict(d.pop("encoder"))
-        enc["hidden_dims"] = tuple(enc.get("hidden_dims", ()))
-        return cls(encoder=EncoderConfig(**enc), **d)
+        encoder = build_checked(EncoderConfig, d.pop("encoder"), "encoder config")
+        return build_checked(cls, d, "model config", encoder=encoder)
+
+
+def build_checked(target, values: dict, where: str, **fixed):
+    """`target(**fixed, **values)`, where a key of `values` that `target`
+    does not take is a ValueError naming `where` and the key."""
+    taken = set(inspect.signature(target).parameters) - set(fixed)
+    unknown = sorted(set(values) - taken)
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return target(**fixed, **values)
 
 
 @dataclass
@@ -106,7 +104,7 @@ class ForwardOutputs:
     pathway_pred: Tensor      # [B, 42]
     projection: Tensor        # [B, d_b]
     aux: dict                 # task name -> Tensor
-    prob: Tensor              # [B] response probability
+    prob: Tensor              # [B, 1] response probability
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -130,18 +128,6 @@ class Model:
         emb_bound = np.sqrt(3.0 * enc.gene_count)
         self._add("encoder.gene_embedding",
                   rng.uniform(-emb_bound, emb_bound, size=(enc.gene_count, d_e)))
-        if enc.pooling == "attention":
-            for name in ("wq", "wk", "wv"):
-                self._add(f"encoder.attn_{name}", _uniform_init(rng, d_e, (d_e, d_e)))
-        prev = d_e
-        for i, width in enumerate(enc.hidden_dims):
-            self._add(f"encoder.mlp_w{i}", _uniform_init(rng, prev, (prev, width)))
-            self._add(f"encoder.mlp_b{i}", np.zeros(width))
-            prev = width
-        if enc.hidden_dims:
-            # project back to d_e so downstream dims are pooling-path independent
-            self._add("encoder.mlp_out_w", _uniform_init(rng, prev, (prev, d_e)))
-            self._add("encoder.mlp_out_b", np.zeros(d_e))
 
         self._add("bottleneck.w", _uniform_init(rng, d_e, (d_e, N_CONCEPTS)))
         self._add("bottleneck.b", np.zeros(N_CONCEPTS))
@@ -167,15 +153,8 @@ class Model:
             self._add(f"aux.{task}_w", _uniform_init(rng, N_CONCEPTS, (N_CONCEPTS, dim)))
             self._add(f"aux.{task}_b", np.zeros(dim))
 
-        if config.classifier_hidden > 0:
-            h = config.classifier_hidden
-            self._add("classifier.w1", _uniform_init(rng, N_CONCEPTS, (N_CONCEPTS, h)))
-            self._add("classifier.b1", np.zeros(h))
-            self._add("classifier.w2", _uniform_init(rng, h, (h, 1)))
-            self._add("classifier.b2", np.zeros(1))
-        else:
-            self._add("classifier.w", _uniform_init(rng, N_CONCEPTS, (N_CONCEPTS, 1)))
-            self._add("classifier.b", np.zeros(1))
+        self._add("classifier.w", _uniform_init(rng, N_CONCEPTS, (N_CONCEPTS, 1)))
+        self._add("classifier.b", np.zeros(1))
 
     def _add(self, name: str, data) -> None:
         self.params[name] = Parameter(name, data)
@@ -201,67 +180,18 @@ class Model:
 
     # ---- forward components -----------------------------------------
 
-    def encode(self, tape: Tape, expression: np.ndarray) -> Tensor:
-        """One sample's token matrix E[L, d_e]: gene embeddings scaled by
-        normalized expression, optionally mixed by one self-attention block."""
-        expression = np.asarray(expression, dtype=np.float64)
-        enc = self.config.encoder
-        if expression.shape != (enc.gene_count,):
-            raise ValueError(
-                f"expression length {expression.shape} != gene count ({enc.gene_count},)"
-            )
-        scale = tape.constant(np.repeat(expression[:, None], enc.token_dim, axis=1))
-        e = tape.mul(scale, self._p("encoder.gene_embedding"))
-        if enc.pooling == "attention":
-            e = self._attention_block(tape, e)
-        return e
-
-    def _attention_block(self, tape: Tape, e: Tensor) -> Tensor:
-        d_e = self.config.encoder.token_dim
-        q = tape.matmul(e, self._p("encoder.attn_wq"))
-        k = tape.matmul(e, self._p("encoder.attn_wk"))
-        v = tape.matmul(e, self._p("encoder.attn_wv"))
-        scores = tape.scale(tape.matmul(q, tape.transpose(k)), 1.0 / np.sqrt(d_e))
-        return tape.matmul(tape.softmax_rows(scores), v)
-
-    def _encoder_mlp(self, tape: Tape, h: Tensor) -> Tensor:
-        if not self.config.encoder.hidden_dims:
-            return h
-        for i in range(len(self.config.encoder.hidden_dims)):
-            h = tape.relu(tape.add_bias(
-                tape.matmul(h, self._p(f"encoder.mlp_w{i}")),
-                self._p(f"encoder.mlp_b{i}")))
-        return tape.add_bias(tape.matmul(h, self._p("encoder.mlp_out_w")),
-                             self._p("encoder.mlp_out_b"))
-
-    def pooled_batch(self, tape: Tape, expression: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Batched pooled embeddings: (raw mean of tokens, post-encoder-MLP).
-
-        With mean pooling the per-sample token mean collapses to a single
-        matmul: mean_rows(diag(x) @ Emb) == (x @ Emb) / G.
-        """
+    def pooled_batch(self, tape: Tape, expression: np.ndarray) -> Tensor:
+        """Mean of each sample's gene tokens x_g * Emb_g, computed for the
+        whole batch as one matmul: (x @ Emb) / G."""
         expression = np.atleast_2d(np.asarray(expression, dtype=np.float64))
         enc = self.config.encoder
         if expression.shape[1] != enc.gene_count:
             raise ValueError(
                 f"expression width {expression.shape[1]} != gene count {enc.gene_count}"
             )
-        if enc.pooling == "mean":
-            x = tape.constant(expression)
-            pooled = tape.scale(tape.matmul(x, self._p("encoder.gene_embedding")),
-                                1.0 / enc.gene_count)
-        else:
-            rows = [tape.mean_rows(self.encode(tape, expression[i]))
-                    for i in range(expression.shape[0])]
-            stacked = np.stack([r.data for r in rows])
-            pooled = Tensor(stacked)
-
-            def backward(grad, rows=rows):
-                for i, r in enumerate(rows):
-                    r.accumulate(grad[i])
-
-            tape._push(pooled, backward)
-        return pooled, self._encoder_mlp(tape, pooled)
+        x = tape.constant(expression)
+        return tape.scale(tape.matmul(x, self._p("encoder.gene_embedding")),
+                          1.0 / enc.gene_count)
 
     def concepts(self, tape: Tape, pooled: Tensor) -> Tensor:
         """Nonnegative concept scores: softplus(pooled @ W_c + b_c)."""
@@ -286,19 +216,12 @@ class Model:
         return gates, tape.mul(concepts, gates)
 
     def classify(self, tape: Tape, concepts: Tensor) -> Tensor:
-        if self.config.classifier_hidden > 0:
-            h = tape.relu(tape.add_bias(
-                tape.matmul(concepts, self._p("classifier.w1")),
-                self._p("classifier.b1")))
-            logits = tape.add_bias(tape.matmul(h, self._p("classifier.w2")),
-                                   self._p("classifier.b2"))
-        else:
-            logits = tape.add_bias(tape.matmul(concepts, self._p("classifier.w")),
-                                   self._p("classifier.b"))
+        logits = tape.add_bias(tape.matmul(concepts, self._p("classifier.w")),
+                               self._p("classifier.b"))
         return tape.sigmoid(logits)
 
-    def predict_pathways(self, tape: Tape, pooled_raw: Tensor) -> Tensor:
-        h = tape.relu(tape.add_bias(tape.matmul(pooled_raw, self._p("pathway.w1")),
+    def predict_pathways(self, tape: Tape, pooled: Tensor) -> Tensor:
+        h = tape.relu(tape.add_bias(tape.matmul(pooled, self._p("pathway.w1")),
                                     self._p("pathway.b1")))
         return tape.add_bias(tape.matmul(h, self._p("pathway.w2")),
                              self._p("pathway.b2"))
@@ -315,32 +238,23 @@ class Model:
 
     def forward(self, tape: Tape, expression: np.ndarray, treatments: np.ndarray
                 ) -> ForwardOutputs:
-        pooled_raw, pooled = self.pooled_batch(tape, expression)
+        pooled = self.pooled_batch(tape, expression)
         c_raw = self.concepts(tape, pooled)
         if self.config.gating_enabled:
             gates, c_gated = self.gate(tape, c_raw, treatments)
         else:
             gates, c_gated = None, c_raw
-        aux_input = c_gated if self.config.aux_on_gated else c_raw
         prob = self.classify(tape, c_gated)
         return ForwardOutputs(
-            pooled=pooled_raw,
+            pooled=pooled,
             concepts_raw=c_raw,
             gates=gates,
             concepts_gated=c_gated,
-            pathway_pred=self.predict_pathways(tape, pooled_raw),
-            projection=self.project_concepts(tape, aux_input),
-            aux=self.predict_aux(tape, aux_input),
+            pathway_pred=self.predict_pathways(tape, pooled),
+            projection=self.project_concepts(tape, c_raw),
+            aux=self.predict_aux(tape, c_raw),
             prob=prob,
         )
-
-    def forward_sample(self, tape: Tape, expression: np.ndarray,
-                       treatment: TreatmentTarget) -> dict:
-        """Single-sample pass that also materializes the token matrix E."""
-        e = self.encode(tape, expression)
-        out = self.forward(tape, np.asarray(expression)[None, :],
-                           treatment.multihot()[None, :])
-        return {"E": e, "outputs": out}
 
     def predict_proba(self, expression: np.ndarray, treatments: np.ndarray
                       ) -> np.ndarray:

@@ -67,17 +67,10 @@ def pathway_loss(tape: Tape, pred: Tensor, target: np.ndarray,
 
 
 def alignment_loss(tape: Tape, projection: Tensor, biomarkers: np.ndarray,
-                   mask: np.ndarray | None = None,
-                   raw_norm: bool = False) -> Tensor:
-    """Distance between projected concepts and biomarker scores.
-
-    Default divides by the batch size so folds of different sizes are
-    comparable; raw_norm keeps the plain summed squared norm.
-    """
-    loss = tape.mse(projection, biomarkers, mask)
-    if raw_norm:
-        loss = tape.scale(loss, float(projection.data.shape[0]))
-    return loss
+                   mask: np.ndarray | None = None) -> Tensor:
+    """Distance between projected concepts and biomarker scores, divided by
+    the batch size so folds of different sizes are comparable."""
+    return tape.mse(projection, biomarkers, mask)
 
 
 def auxiliary_loss(tape: Tape, preds: dict, targets: dict, masks: dict
@@ -97,23 +90,12 @@ def auxiliary_loss(tape: Tape, preds: dict, targets: dict, masks: dict
 
 
 def composite_loss(tape: Tape, outputs: ForwardOutputs, targets: BatchTargets,
-                   weights: LossWeights, align_raw_norm: bool = False
-                   ) -> tuple[Tensor, LossBreakdown]:
+                   weights: LossWeights) -> tuple[Tensor, LossBreakdown]:
     """Weighted sum of the enabled terms; returns the tape node and a
     float breakdown. Terms with weight zero are skipped entirely so their
     heads receive no gradient."""
-    prob = outputs.prob
-    flat_prob = prob
-    if prob.data.ndim == 2 and prob.data.shape[1] == 1:
-        # classifier emits a column; compare against flat labels
-        flat = Tensor(prob.data[:, 0])
-
-        def backward(grad, src=prob):
-            src.accumulate(grad[:, None])
-
-        tape._push(flat, backward)
-        flat_prob = flat
-    cls = tape.bce(flat_prob, targets.response)
+    # the classifier emits a [B, 1] column
+    cls = tape.bce(outputs.prob, targets.response[:, None])
     total = tape.scale(cls, weights.cls)
 
     pathway_val = 0.0
@@ -126,7 +108,7 @@ def composite_loss(tape: Tape, outputs: ForwardOutputs, targets: BatchTargets,
     align_val = 0.0
     if weights.align > 0 and targets.biomarkers is not None:
         al = alignment_loss(tape, outputs.projection, targets.biomarkers,
-                            targets.biomarker_mask, raw_norm=align_raw_norm)
+                            targets.biomarker_mask)
         align_val = float(al.data)
         total = tape.add(total, tape.scale(al, weights.align))
 

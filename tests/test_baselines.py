@@ -169,12 +169,19 @@ class TestFitLogreg:
         x = rng.normal(size=(30, 3))
         y = rng.integers(0, 2, size=30)
         y[:2] = [0, 1]
-        l2 = 2.0
-        lm = fit_logreg(x, y, l2=l2)
-        z = (x - lm.feature_mean) / lm.feature_std
-        p = lm.predict_proba(x)
-        grad = z.T @ (p - y) / len(y) + l2 / len(y) * lm.weights
-        assert np.linalg.norm(grad) <= 1e-5
+        # second input: the expression features of the default cohort's
+        # LOCO fold that holds out cohort_07 (410 x 512), at the CLI's l2
+        ds = generate_synthetic(SyntheticSpec())
+        train = ds.cohort_ids != "cohort_07"
+        for x, y, l2 in [(x, y, 2.0),
+                         (np.log2(ds.expression[train] + 1.0),
+                          ds.response[train], 1.0)]:
+            lm = fit_logreg(x, y, l2=l2)
+            z = (x - lm.feature_mean) / lm.feature_std
+            p = lm.predict_proba(x)
+            grad = z.T @ (p - y) / len(y) + l2 / len(y) * lm.weights
+            assert lm.converged
+            assert np.linalg.norm(grad) <= 1e-5
 
 
 @pytest.fixture(scope="module")

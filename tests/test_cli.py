@@ -138,10 +138,21 @@ class TestBaselines:
 
 class TestErrors:
     def test_unknown_config_key_fails(self, tmp_path, capsys):
-        bad = tmp_path / "bad.yaml"
-        bad.write_text("learning_rate: 0.1\n")
-        assert main(["eval", "--config", str(bad)]) == 1
-        assert "error:" in capsys.readouterr().err
+        # at the top level, then inside each section
+        for text, named in [
+            ("learning_rate: 0.1\n", "learning_rate"),
+            ("train: {learning_rate: 0.1}\n", "'train': learning_rate"),
+            ("train: {optimizer: sgd}\n", "'train': optimizer"),
+            ("model: {pooling: attention}\n", "'model': pooling"),
+            ("weights: {cls_weight: 1.0}\n", "'weights': cls_weight"),
+            ("ablation: {disable_gate: true}\n", "'ablation': disable_gate"),
+            ("synthetic: {n_cohort: 3}\n", "'synthetic': n_cohort"),
+        ]:
+            bad = tmp_path / "bad.yaml"
+            bad.write_text(text)
+            assert main(["eval", "--config", str(bad)]) == 1, text
+            err = capsys.readouterr().err
+            assert "error:" in err and named in err, (text, err)
 
     def test_missing_dataset_file_fails(self, capsys):
         assert main(["schema", "--dataset", "/nonexistent.csv"]) == 1

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biocompass import diffcore
-from biocompass.diffcore import (Adam, NonFiniteError, Parameter, SGD, Tape,
+from biocompass.diffcore import (Adam, NonFiniteError, Parameter, Tape,
                                  Tensor, backward, zero_grads)
 from conftest import finite_difference, assert_grad_close
 
@@ -89,11 +89,6 @@ class TestElementwise:
             return tape.sigmoid(x.tensor)
 
         assert analytic_grad(build, x) == pytest.approx(0.25)
-
-    def test_mean_rows(self):
-        tape = Tape()
-        out = tape.mean_rows(tape.constant([[1.0, 3.0], [3.0, 5.0]]))
-        np.testing.assert_array_equal(out.data, [2.0, 4.0])
 
     def test_softplus_at_zero(self):
         tape = Tape()
@@ -191,15 +186,9 @@ PRIMITIVE_BUILDERS = {
         tape.sigmoid(p.tensor), rng.normal(size=p.data.shape)),
     "softplus": lambda tape, p, rng: tape.mse(
         tape.softplus(p.tensor), rng.normal(size=p.data.shape)),
-    "mean_rows": lambda tape, p, rng: tape.mse(
-        tape.mean_rows(p.tensor), rng.normal(size=(p.data.shape[1],))),
-    "softmax_rows": lambda tape, p, rng: tape.mse(
-        tape.softmax_rows(p.tensor), rng.normal(size=p.data.shape)),
     "bce": lambda tape, p, rng: tape.bce(
         tape.sigmoid(p.tensor), (rng.random(p.data.shape) < 0.5).astype(float)),
     "sum_squares": lambda tape, p, rng: tape.scale(tape.sum_squares(p.tensor), 0.3),
-    "transpose": lambda tape, p, rng: tape.mse(
-        tape.transpose(p.tensor), rng.normal(size=p.data.shape[::-1])),
 }
 
 
@@ -229,24 +218,10 @@ def test_primitive_gradients_match_finite_differences(name):
 
 
 class TestOptimizers:
-    def test_zero_lr_leaves_params_unchanged(self):
-        p = Parameter("w", [1.0, 2.0])
-        p.tensor.grad = np.array([5.0, -3.0])
-        before = p.data.copy()
-        SGD([p], lr=0.0).step()
-        np.testing.assert_array_equal(p.data, before)
-
-    def test_sgd_update_rule(self):
-        p = Parameter("w", [1.0])
-        p.tensor.grad = np.array([2.0])
-        SGD([p], lr=0.1).step()
-        assert p.data[0] == pytest.approx(0.8)
-
     def test_frozen_param_bit_identical(self):
         p = Parameter("w", [1.0, 2.0], trainable=False)
         p.tensor.grad = np.array([5.0, -3.0])
         before = p.data.tobytes()
-        SGD([p], lr=0.1).step()
         Adam([p], lr=0.1).step()
         assert p.data.tobytes() == before
 

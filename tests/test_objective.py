@@ -62,14 +62,6 @@ class TestAlignmentLoss:
             np.vstack([target, target])).data)
         assert doubled == pytest.approx(single)
 
-    def test_raw_norm_restores_summed_formula(self, rng):
-        proj = rng.normal(size=(4, 2))
-        target = rng.normal(size=(4, 2))
-        tape = Tape()
-        raw = float(alignment_loss(tape, tape.constant(proj), target,
-                                   raw_norm=True).data)
-        assert raw == pytest.approx(np.sum((proj - target) ** 2))
-
     def test_dim_mismatch_rejected(self, rng):
         tape = Tape()
         with pytest.raises(ValueError, match="shape"):
