@@ -24,6 +24,21 @@ from .model import Model, build_checked
 from .objective import LossWeights
 
 
+# the types a config file may give each top-level key (exact: a YAML
+# `true` is not a job count)
+VALUE_TYPES = {
+    "dataset_csv": (str, type(None)),
+    **dict.fromkeys(("synthetic", "model", "weights", "train", "ablation"),
+                    (dict,)),
+    "protocol": (str,),
+    "seeds": (list,),
+    "out_dir": (str,),
+    "jobs": (int,),
+    "weighted": (bool,),
+    "signatures_file": (str, type(None)),
+}
+
+
 @dataclass
 class ExperimentConfig:
     dataset_csv: str | None = None
@@ -39,10 +54,25 @@ class ExperimentConfig:
     weighted: bool = False
     signatures_file: str | None = None
 
+    def __post_init__(self):
+        for name, kinds in VALUE_TYPES.items():
+            value = getattr(self, name)
+            if type(value) not in kinds:
+                raise ValueError(
+                    f"config key {name!r} must be of type "
+                    f"{' or '.join(k.__name__ for k in kinds)}, "
+                    f"got {type(value).__name__}")
+        if any(type(s) is not int for s in self.seeds):
+            raise ValueError(f"config key 'seeds' must be a list of integers, "
+                             f"got {self.seeds!r}")
+
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path) as f:
             raw = yaml.safe_load(f) or {}
+        if not isinstance(raw, dict):
+            raise ValueError(f"config file must be a mapping, "
+                             f"got {type(raw).__name__}")
         return build_checked(cls, raw, "config file")
 
     def loss_weights(self) -> LossWeights:

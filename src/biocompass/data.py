@@ -182,12 +182,24 @@ def _parse_float_block(row: dict, cols: list, row_no: int) -> tuple[np.ndarray, 
     return values, mask
 
 
+def _reject_cells(path, bad: np.ndarray, cols: list, what: str) -> None:
+    """SchemaError naming the first flagged cell of an assembled block."""
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise SchemaError(f"{path}: row {i + 2}: {what} in column {cols[j]!r}")
+
+
 def load_csv(path) -> Dataset:
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None:
             raise SchemaError(f"{path}: empty file, header row required")
         header = reader.fieldnames
+        seen = set()
+        for col in header:
+            if col in seen:
+                raise SchemaError(f"{path}: duplicate column {col!r} in header")
+            seen.add(col)
         for col in RESERVED_COLUMNS:
             if col not in header:
                 raise SchemaError(f"{path}: missing reserved column {col!r}")
@@ -208,6 +220,7 @@ def load_csv(path) -> Dataset:
                                 "bm", "bm_m", "tide", "tide_m", "ipres",
                                 "ipres_m", "pheno", "pheno_m")}
         n_cols = len(header)
+        sample_rows = {}
         for row_no, row in enumerate(reader, start=2):
             if None in row or any(v is None for v in row.values()):
                 raise SchemaError(f"{path}: row {row_no}: ragged row "
@@ -223,16 +236,18 @@ def load_csv(path) -> Dataset:
             if resp not in ("0", "1"):
                 raise SchemaError(
                     f"{path}: row {row_no}: response must be 0 or 1, got {resp!r}")
+            sample_id = row["sample_id"].strip()
+            if sample_id in sample_rows:
+                raise SchemaError(
+                    f"{path}: row {row_no}: duplicate sample_id {sample_id!r} "
+                    f"(first in row {sample_rows[sample_id]})")
+            sample_rows[sample_id] = row_no
             expr, expr_mask = _parse_float_block(row, expr_cols, row_no)
             if not expr_mask.all():
                 missing = expr_cols[int(np.argmin(expr_mask))]
                 raise SchemaError(
                     f"{path}: row {row_no}: expression cell {missing!r} is empty")
-            if np.any(expr < 0):
-                bad = expr_cols[int(np.argmax(expr < 0))]
-                raise SchemaError(
-                    f"{path}: row {row_no}: negative TPM in column {bad!r}")
-            rows["sample_id"].append(row["sample_id"].strip())
+            rows["sample_id"].append(sample_id)
             rows["cohort_id"].append(row["cohort_id"].strip())
             rows["cancer_type"].append(row["cancer_type"].strip())
             rows["treatment"].append(treatment.token())
@@ -248,14 +263,20 @@ def load_csv(path) -> Dataset:
     if not rows["sample_id"]:
         raise SchemaError(f"{path}: no data rows")
 
-    def block(name):
-        return np.asarray(rows[name]), np.asarray(rows[name + "_m"])
+    expression = np.asarray(rows["expr"])
+    _reject_cells(path, ~np.isfinite(expression), expr_cols, "non-finite TPM")
+    _reject_cells(path, expression < 0, expr_cols, "negative TPM")
 
-    pw, pw_m = block("pw")
-    bm, bm_m = block("bm")
-    tide, tide_m = block("tide")
-    ipres, ipres_m = block("ipres")
-    pheno, pheno_m = block("pheno")
+    def block(name, cols):
+        values = np.asarray(rows[name])
+        _reject_cells(path, ~np.isfinite(values), cols, "non-finite value")
+        return values, np.asarray(rows[name + "_m"])
+
+    pw, pw_m = block("pw", pw_cols)
+    bm, bm_m = block("bm", bm_cols)
+    tide, tide_m = block("tide", tide_cols)
+    ipres, ipres_m = block("ipres", ipres_cols)
+    pheno, pheno_m = block("pheno", pheno_cols)
     tokens = np.asarray(rows["treatment"], dtype=object)
     return Dataset(
         gene_names=[c[len("expr_"):] for c in expr_cols],
@@ -265,7 +286,7 @@ def load_csv(path) -> Dataset:
         treatment_tokens=tokens,
         treatments=np.stack([TreatmentTarget.from_token(str(t)).multihot()
                              for t in tokens]),
-        expression=np.asarray(rows["expr"]),
+        expression=expression,
         response=np.asarray(rows["response"], dtype=np.int64),
         pathway=pw, pathway_mask=pw_m,
         biomarkers=bm, biomarker_mask=bm_m,

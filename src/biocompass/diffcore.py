@@ -256,12 +256,16 @@ def zero_grads(params) -> None:
         p.zero_grad()
 
 
-def _check_grad_finite(param: Parameter) -> None:
-    if param.tensor.grad is not None and not np.all(np.isfinite(param.tensor.grad)):
-        raise NonFiniteError(f"non-finite gradient for parameter {param.name}")
-
-
 class Adam:
+    """Adam over the parameters that are trainable when it is built.
+
+    Their values are packed into one contiguous vector and each parameter's
+    `.data` becomes a view into it, so a step is a handful of whole-vector
+    operations. `trainable` is read here, once: a parameter frozen at
+    construction is never touched by `step`, and flipping the flag later has
+    no effect on this optimizer.
+    """
+
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
@@ -270,23 +274,34 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = {id(p): np.zeros_like(p.data) for p in self.params}
-        self._v = {id(p): np.zeros_like(p.data) for p in self.params}
+        trained = [p for p in self.params if p.trainable]
+        self._flat = np.concatenate(
+            [p.data.ravel() for p in trained] or [np.zeros(0)])
+        self._slots = []   # (parameter, its slice of the flat vector)
+        start = 0
+        for p in trained:
+            span = slice(start, start + p.data.size)
+            p.tensor.data = self._flat[span].reshape(p.data.shape)
+            self._slots.append((p, span))
+            start = span.stop
+        self._g = np.zeros_like(self._flat)
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
 
     def step(self) -> None:
+        g = self._g
+        for p, span in self._slots:
+            g[span] = 0.0 if p.tensor.grad is None else p.tensor.grad.ravel()
+        if not np.all(np.isfinite(g)):
+            bad = next(p for p, span in self._slots
+                       if not np.all(np.isfinite(g[span])))
+            raise NonFiniteError(f"non-finite gradient for parameter {bad.name}")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p in self.params:
-            if not p.trainable:
-                continue
-            _check_grad_finite(p)
-            g = p.grad
-            m = self._m[id(p)]
-            v = self._v[id(p)]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.tensor.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        self._flat -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)

@@ -123,21 +123,34 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
                 x_norm: np.ndarray, weights: LossWeights, cfg: TrainConfig,
                 seed: int) -> list:
     """Minibatch training on one fold's training rows; returns per-epoch
-    mean loss breakdowns."""
+    mean loss breakdowns.
+
+    With the encoder frozen, pooling is the same at every step, so the
+    training rows are pooled once, outside the step tapes, and each step
+    starts from its rows of that table."""
     model.set_mode(cfg.mode)
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr)
     rng = np.random.default_rng(seed)
     train_idx = np.asarray(train_idx)
+    pooled = None
+    if not model.params["encoder.gene_embedding"].trainable:
+        pooled = model.pooled_batch(Tape(), x_norm[train_idx]).data
     history = []
     for epoch in range(cfg.epochs):
-        order = train_idx[rng.permutation(len(train_idx))]
+        perm = rng.permutation(len(train_idx))
         sums, n_batches = {}, 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
+        for start in range(0, len(perm), cfg.batch_size):
+            pos = perm[start:start + cfg.batch_size]
+            batch = train_idx[pos]
             tape = Tape()
             zero_grads(params)
-            out = model.forward(tape, x_norm[batch], dataset.treatments[batch])
+            if pooled is None:
+                out = model.forward(tape, x_norm[batch],
+                                    dataset.treatments[batch])
+            else:
+                out = model.head(tape, tape.constant(pooled[pos]),
+                                 dataset.treatments[batch])
             total, breakdown = composite_loss(
                 tape, out, _targets_slice(dataset, batch), weights)
             diffcore.backward(total, tape)

@@ -238,7 +238,11 @@ class Model:
 
     def forward(self, tape: Tape, expression: np.ndarray, treatments: np.ndarray
                 ) -> ForwardOutputs:
-        pooled = self.pooled_batch(tape, expression)
+        return self.head(tape, self.pooled_batch(tape, expression), treatments)
+
+    def head(self, tape: Tape, pooled: Tensor, treatments: np.ndarray
+             ) -> ForwardOutputs:
+        """Everything after pooling: concepts, gate, classifier, side heads."""
         c_raw = self.concepts(tape, pooled)
         if self.config.gating_enabled:
             gates, c_gated = self.gate(tape, c_raw, treatments)

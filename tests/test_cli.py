@@ -147,6 +147,11 @@ class TestErrors:
             ("weights: {cls_weight: 1.0}\n", "'weights': cls_weight"),
             ("ablation: {disable_gate: true}\n", "'ablation': disable_gate"),
             ("synthetic: {n_cohort: 3}\n", "'synthetic': n_cohort"),
+            # a value of the wrong type
+            ("train: 5\n", "'train' must be of type dict, got int"),
+            ("seeds: 3\n", "'seeds' must be of type list, got int"),
+            ("seeds: [0, x]\n", "'seeds' must be a list of integers"),
+            ("jobs: two\n", "'jobs' must be of type int, got str"),
         ]:
             bad = tmp_path / "bad.yaml"
             bad.write_text(text)

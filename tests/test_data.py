@@ -85,6 +85,36 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="expr"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_expression_cell_rejected(self, tmp_path, cell):
+        path = make_csv(tmp_path, [well_formed_row(),
+                                   well_formed_row("s2", expr=("1.0", cell))])
+        with pytest.raises(SchemaError, match="row 3: non-finite.*'expr_b'"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("row, column", [
+        (well_formed_row(bm="nan"), "bm_x"),
+        (well_formed_row().replace(",0.6", ",inf"), "pheno_1"),
+        (well_formed_row().replace("0.1,", "NaN,", 1), "pw_1"),
+    ], ids=["bm_x", "pheno_1", "pw_1"])
+    def test_non_finite_target_cell_rejected(self, tmp_path, row, column):
+        path = make_csv(tmp_path, [row])
+        with pytest.raises(SchemaError, match=f"row 2: non-finite.*'{column}'"):
+            load_csv(path)
+
+    def test_duplicate_sample_id_rejected(self, tmp_path):
+        path = make_csv(tmp_path, [well_formed_row("s1"), well_formed_row("s2"),
+                                   well_formed_row("s1", cohort="c2")])
+        with pytest.raises(SchemaError,
+                           match="row 4: duplicate sample_id 's1'.*row 2"):
+            load_csv(path)
+
+    def test_duplicate_column_rejected(self, tmp_path):
+        header = HEADER.replace("expr_b", "expr_a")
+        path = make_csv(tmp_path, [well_formed_row()], header=header)
+        with pytest.raises(SchemaError, match="duplicate column 'expr_a'"):
+            load_csv(path)
+
 
 class TestRoundTrip:
     def test_write_then_load_preserves_data(self, tmp_path):

@@ -238,6 +238,36 @@ class TestOptimizers:
         Adam([p], lr=0.01).step()
         assert p.data[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
+    def test_flat_adam_matches_per_parameter_adam(self):
+        rng = np.random.default_rng(3)
+        shapes = {"a": (3, 4), "b": (5,), "frozen": (2, 2), "no_grad": (4, 1)}
+        params = [Parameter(n, rng.normal(size=s), trainable=(n != "frozen"))
+                  for n, s in shapes.items()]
+        frozen_before = params[2].data.tobytes()
+        ref = {p.name: p.data.copy() for p in params}
+        m = {n: np.zeros_like(x) for n, x in ref.items()}
+        v = {n: np.zeros_like(x) for n, x in ref.items()}
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 21):
+            zero_grads(params)
+            grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+            grads["no_grad"] = np.zeros(shapes["no_grad"])
+            for p in params:
+                if p.name != "no_grad":
+                    p.tensor.grad = grads[p.name].copy()
+            opt.step()
+            for p in params:
+                if not p.trainable:
+                    continue
+                n, g = p.name, grads[p.name]
+                m[n] = b1 * m[n] + (1.0 - b1) * g
+                v[n] = b2 * v[n] + (1.0 - b2) * g * g
+                ref[n] = ref[n] - lr * (m[n] / (1.0 - b1 ** t)) / (
+                    np.sqrt(v[n] / (1.0 - b2 ** t)) + eps)
+                assert p.data.tobytes() == ref[n].tobytes(), (n, t)
+        assert params[2].data.tobytes() == frozen_before
+
     def test_determinism_bit_identical_runs(self):
         def run():
             rng = np.random.default_rng(7)

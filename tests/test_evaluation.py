@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biocompass.data import SyntheticSpec, generate_synthetic
+from biocompass import diffcore
+from biocompass.data import (SyntheticSpec, generate_synthetic, normalize,
+                             split_by_group)
+from biocompass.diffcore import Adam, Tape, zero_grads
 from biocompass.evaluation import (AblationConfig, FoldSeedResult, TrainConfig,
-                                   aggregate_rows, aggregate_seeds,
-                                   compute_metrics, emit_report,
-                                   make_model_config, read_perfold_csv,
-                                   roc_auc, run_ablation, run_protocol,
-                                   threshold_metrics, METRIC_NAMES)
+                                   _targets_slice, aggregate_rows,
+                                   aggregate_seeds, compute_metrics,
+                                   emit_report, make_model_config,
+                                   read_perfold_csv, roc_auc, run_ablation,
+                                   run_protocol, threshold_metrics,
+                                   train_model, METRIC_NAMES)
+from biocompass.model import Model
+from biocompass.objective import LossWeights, composite_loss
 
 
 def brute_force_auc(scores, labels):
@@ -188,6 +194,77 @@ class TestRunProtocol:
                                    "no_gating", "no_pathway"]
         for rep in reports.values():
             assert len(rep.rows) == 4
+
+
+def train_pooling_each_batch(model, dataset, train_idx, x_norm, weights, cfg,
+                             seed):
+    """Reference training loop: every step runs the whole forward pass,
+    pooling included, on its own tape."""
+    model.set_mode(cfg.mode)
+    params = model.parameters()
+    opt = Adam(params, lr=cfg.lr)
+    rng = np.random.default_rng(seed)
+    history = []
+    for epoch in range(cfg.epochs):
+        order = train_idx[rng.permutation(len(train_idx))]
+        sums, n_batches = {}, 0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            tape = Tape()
+            zero_grads(params)
+            out = model.forward(tape, x_norm[batch], dataset.treatments[batch])
+            total, breakdown = composite_loss(
+                tape, out, _targets_slice(dataset, batch), weights)
+            diffcore.backward(total, tape)
+            opt.step()
+            for k, v in breakdown.as_dict().items():
+                sums[k] = sums.get(k, 0.0) + v
+            n_batches += 1
+        history.append({"epoch": epoch,
+                        **{k: v / n_batches for k, v in sums.items()}})
+    return history
+
+
+class TestTrainModel:
+    @pytest.fixture(scope="class")
+    def fold_inputs(self):
+        dataset = generate_synthetic(SyntheticSpec(
+            n_cohorts=4, samples_per_cohort=(30, 30, 40, 40), n_genes=300,
+            n_latents=4, seed=4,
+            active_concepts={"PD-1": (0,), "PD-L1": (1,), "CTLA-4": (2,),
+                             "CTLA-4+PD-1": (3,)}))
+        fold = split_by_group(dataset, "cohort").folds[0]
+        x_norm, _ = normalize(dataset, fold.train_idx)
+        return dataset, fold.train_idx, x_norm
+
+    def train_both(self, fold_inputs, mode):
+        dataset, train_idx, x_norm = fold_inputs
+        cfg = TrainConfig(epochs=4, lr=1e-2, mode=mode)
+        cfg_model = make_model_config(dataset, token_dim=8, gate_hidden=8)
+        fast, ref = Model(cfg_model, seed=3), Model(cfg_model, seed=3)
+        args = (dataset, train_idx, x_norm, LossWeights(), cfg, 5)
+        return (fast, train_model(fast, *args),
+                ref, train_pooling_each_batch(ref, *args))
+
+    def test_pft_pools_once_like_each_batch(self, fold_inputs):
+        fast, fast_hist, ref, ref_hist = self.train_both(fold_inputs, "pft")
+        # pooling all rows at once only changes BLAS summation order
+        for a, b in zip(fast_hist, ref_hist):
+            assert a.keys() == b.keys()
+            for k in a:
+                assert abs(a[k] - b[k]) <= 1e-12 * abs(b[k]), k
+        for name, p in fast.params.items():
+            q = ref.params[name].data
+            assert np.linalg.norm(p.data - q) <= 1e-12 * np.linalg.norm(q), name
+        assert (fast.params["encoder.gene_embedding"].data.tobytes()
+                == Model(fast.config, seed=3)
+                .params["encoder.gene_embedding"].data.tobytes())
+
+    def test_fft_matches_each_batch_bit_for_bit(self, fold_inputs):
+        fast, fast_hist, ref, ref_hist = self.train_both(fold_inputs, "fft")
+        assert fast_hist == ref_hist
+        for name, p in fast.params.items():
+            assert p.data.tobytes() == ref.params[name].data.tobytes(), name
 
 
 class TestAggregateRows:
