@@ -116,8 +116,8 @@ def signature_score(dataset: Dataset, sig: SignatureDef,
     """One score per sample. Mean and PC1 kinds work on training-standardized
     log expression; pair-ratio indicators compare log expression directly
     (z-scoring would break cross-gene comparability)."""
-    stats = fit_normalization(dataset.expression, np.asarray(train_idx))
-    logged = np.log2(dataset.expression + 1.0)
+    logged = dataset.log_expression
+    stats = fit_normalization(logged, np.asarray(train_idx))
     if sig.kind == "gene_pair_ratio_sum":
         score = np.zeros(len(dataset))
         kept = 0
@@ -133,7 +133,7 @@ def signature_score(dataset: Dataset, sig: SignatureDef,
             raise SignatureError(f"signature {sig.name}: no resolvable pairs")
         return score
     idx = _resolve_genes(dataset, sig, sig.genes)
-    z = apply_normalization(dataset.expression, stats)[:, idx]
+    z = apply_normalization(logged, stats)[:, idx]
     if sig.kind == "gene_set_mean":
         return z.mean(axis=1)
     # pc1: leading component of the training-fold covariance, sign fixed to
@@ -299,7 +299,7 @@ def _baseline_features(dataset: Dataset, kind: str, sig, train_idx,
         return signature_score(dataset, sig, train_idx)[:, None]
     if kind == "biomarkers":
         return dataset.biomarkers
-    logged = np.log2(dataset.expression + 1.0)
+    logged = dataset.log_expression
     if kind == "expression":
         return logged
     if kind == "pca_expression":

@@ -24,21 +24,6 @@ from .model import Model, build_checked
 from .objective import LossWeights
 
 
-# the types a config file may give each top-level key (exact: a YAML
-# `true` is not a job count)
-VALUE_TYPES = {
-    "dataset_csv": (str, type(None)),
-    **dict.fromkeys(("synthetic", "model", "weights", "train", "ablation"),
-                    (dict,)),
-    "protocol": (str,),
-    "seeds": (list,),
-    "out_dir": (str,),
-    "jobs": (int,),
-    "weighted": (bool,),
-    "signatures_file": (str, type(None)),
-}
-
-
 @dataclass
 class ExperimentConfig:
     dataset_csv: str | None = None
@@ -55,15 +40,8 @@ class ExperimentConfig:
     signatures_file: str | None = None
 
     def __post_init__(self):
-        for name, kinds in VALUE_TYPES.items():
-            value = getattr(self, name)
-            if type(value) not in kinds:
-                raise ValueError(
-                    f"config key {name!r} must be of type "
-                    f"{' or '.join(k.__name__ for k in kinds)}, "
-                    f"got {type(value).__name__}")
         if any(type(s) is not int for s in self.seeds):
-            raise ValueError(f"config key 'seeds' must be a list of integers, "
+            raise ValueError(f"'seeds' must be a list of integers, "
                              f"got {self.seeds!r}")
 
     @classmethod
@@ -101,11 +79,14 @@ class ExperimentConfig:
 
 
 def _synth_kwargs(d: dict) -> dict:
+    """YAML lists as the tuples `SyntheticSpec` holds; any other value is
+    left for `build_checked` to reject."""
     d = dict(d)
-    if "samples_per_cohort" in d:
+    if isinstance(d.get("samples_per_cohort"), list):
         d["samples_per_cohort"] = tuple(d["samples_per_cohort"])
-    if "active_concepts" in d:
-        d["active_concepts"] = {k: tuple(v) for k, v in d["active_concepts"].items()}
+    if isinstance(d.get("active_concepts"), dict):
+        d["active_concepts"] = {k: tuple(v) if isinstance(v, list) else v
+                                for k, v in d["active_concepts"].items()}
     return d
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,14 @@ class Dataset:
 
     def __len__(self):
         return len(self.sample_ids)
+
+    @cached_property
+    def log_expression(self) -> np.ndarray:
+        """Read-only log2(TPM+1), computed on first use and kept: every fold's
+        normalisation and every baseline starts from it."""
+        logged = np.log2(self.expression + 1.0)
+        logged.flags.writeable = False
+        return logged
 
     @property
     def dims(self) -> dict:
@@ -142,26 +151,31 @@ class NormalizationStats:
     std: np.ndarray   # zero-variance genes clamped to 1
 
 
-def fit_normalization(tpm: np.ndarray, train_idx: np.ndarray) -> NormalizationStats:
+def fit_normalization(logged: np.ndarray, train_idx: np.ndarray) -> NormalizationStats:
+    """Per-gene mean and std of log2(TPM+1) values over the training rows."""
     if len(train_idx) == 0:
         raise ValueError("normalization needs a nonempty training set")
-    logged = np.log2(tpm[train_idx] + 1.0)
-    mean = logged.mean(axis=0)
-    std = logged.std(axis=0)
+    train = logged[train_idx]
+    mean = train.mean(axis=0)
+    std = train.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
     return NormalizationStats(mean=mean, std=std)
 
 
-def apply_normalization(tpm: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    return (np.log2(tpm + 1.0) - stats.mean) / stats.std
+def apply_normalization(logged: np.ndarray, stats: NormalizationStats) -> np.ndarray:
+    """z-score log2(TPM+1) values with the given statistics."""
+    out = logged - stats.mean
+    out /= stats.std
+    return out
 
 
 def normalize(dataset: Dataset, train_idx: np.ndarray
               ) -> tuple[np.ndarray, NormalizationStats]:
     """log2(TPM+1) then per-gene z-score with statistics fit on training rows
     only; test rows are transformed with the training statistics."""
-    stats = fit_normalization(dataset.expression, np.asarray(train_idx))
-    return apply_normalization(dataset.expression, stats), stats
+    logged = dataset.log_expression
+    stats = fit_normalization(logged, np.asarray(train_idx))
+    return apply_normalization(logged, stats), stats
 
 
 # ---- CSV ingestion ----------------------------------------------------
@@ -358,6 +372,12 @@ class SyntheticSpec:
             raise ValueError("signal_strength must be nonnegative")
         if len(self.samples_per_cohort) != self.n_cohorts:
             raise ValueError("samples_per_cohort length must equal n_cohorts")
+        for treatment, latents in self.active_concepts.items():
+            if type(latents) is not tuple or not all(
+                    type(k) is int and 0 <= k < self.n_latents for k in latents):
+                raise ValueError(
+                    f"active_concepts[{treatment!r}] must be a list of latent "
+                    f"indices in [0, {self.n_latents}), got {latents!r}")
 
 
 @dataclass

@@ -8,8 +8,12 @@ to exactly one forward/backward cycle.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 BCE_EPS = 1e-7
+# sigmoid outputs stay strictly inside (0, 1), even where exp under/overflows
+SIGMOID_LO = np.nextafter(0.0, 1.0)
+SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
 class NonFiniteError(ValueError):
@@ -17,7 +21,7 @@ class NonFiniteError(ValueError):
 
 
 def _check_finite(values: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NonFiniteError(f"non-finite value in {context}")
 
 
@@ -36,9 +40,12 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, grad: np.ndarray) -> None:
+        # the first write copies: a backward pass may hand the same array to
+        # several inputs (add), and a later in-place += must not reach them
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.array(grad, dtype=np.float64)
+        else:
+            self.grad += grad
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -163,7 +170,9 @@ class Tape:
         return self._push(out, backward)
 
     def softplus(self, x: Tensor) -> Tensor:
-        out = Tensor(np.logaddexp(0.0, x.data), context="softplus")
+        # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), which never overflows
+        out = Tensor(np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data))),
+                     context="softplus")
         s = _stable_sigmoid(x.data)
 
         def backward(grad):
@@ -232,13 +241,8 @@ class Tape:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    # keep the output strictly inside (0, 1) even where exp underflows
-    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    # expit of a 0-d array is a numpy scalar, so no clipping into out=
+    return np.clip(expit(x), SIGMOID_LO, SIGMOID_HI)
 
 
 def backward(loss: Tensor, tape: Tape) -> None:

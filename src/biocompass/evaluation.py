@@ -104,6 +104,12 @@ class TrainConfig:
     mode: str = "pft"
     threshold: float = 0.5
 
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 def _targets_slice(dataset: Dataset, idx: np.ndarray) -> BatchTargets:
     return BatchTargets(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import inspect
 import io
 import json
+import typing
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -86,13 +87,37 @@ class ModelConfig:
 
 
 def build_checked(target, values: dict, where: str, **fixed):
-    """`target(**fixed, **values)`, where a key of `values` that `target`
-    does not take is a ValueError naming `where` and the key."""
+    """`target(**fixed, **values)`. A key of `values` that `target` does not
+    take, a value whose type does not fit the key's annotation, and a
+    ValueError from `target` itself are ValueErrors prefixed with `where`."""
     taken = set(inspect.signature(target).parameters) - set(fixed)
     unknown = sorted(set(values) - taken)
     if unknown:
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    return target(**fixed, **values)
+    hints = typing.get_type_hints(target)
+    for key, value in values.items():
+        kinds = _value_types(hints.get(key))
+        if kinds and type(value) not in kinds:
+            raise ValueError(
+                f"{where}: {key!r} must be of type "
+                f"{' or '.join(k.__name__ for k in kinds)}, "
+                f"got {type(value).__name__}")
+    try:
+        return target(**fixed, **values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _value_types(hint) -> tuple:
+    """The exact types a value may have for an annotation: a bool is not an
+    int, an int is a float, and a list (as YAML writes it) is a tuple."""
+    if hint is float:
+        return (float, int)
+    if hint is tuple:
+        return (list, tuple)
+    if isinstance(hint, type):
+        return (hint,)
+    return typing.get_args(hint)   # `X | None`; () for no annotation
 
 
 @dataclass

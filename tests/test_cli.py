@@ -152,6 +152,18 @@ class TestErrors:
             ("seeds: 3\n", "'seeds' must be of type list, got int"),
             ("seeds: [0, x]\n", "'seeds' must be a list of integers"),
             ("jobs: two\n", "'jobs' must be of type int, got str"),
+            # ... and inside a section, or out of range
+            ("train: {epochs: ten}\n",
+             "'train': 'epochs' must be of type int, got str"),
+            ("synthetic: {samples_per_cohort: 5}\n",
+             "'synthetic': 'samples_per_cohort' must be of type list"),
+            ("weights: {pathway: high}\n",
+             "'weights': 'pathway' must be of type float"),
+            ("synthetic: {active_concepts: {PD-1: 3}}\n",
+             "'synthetic': active_concepts['PD-1'] must be a list"),
+            ("train: {epochs: 0}\n", "'train': epochs must be >= 1, got 0"),
+            ("train: {batch_size: 0}\n",
+             "'train': batch_size must be >= 1, got 0"),
         ]:
             bad = tmp_path / "bad.yaml"
             bad.write_text(text)

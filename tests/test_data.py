@@ -1,11 +1,17 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from biocompass.data import (Dataset, SchemaError, SyntheticSpec,
                              fit_normalization, generate_synthetic,
                              generate_synthetic_with_truth, load_csv,
                              normalize, split_by_group, write_csv)
 from biocompass.evaluation import roc_auc
+from biocompass.model import TreatmentTarget
 
 
 HEADER = ("sample_id,cohort_id,cancer_type,treatment,response,"
@@ -132,10 +138,66 @@ class TestRoundTrip:
         assert list(map(str, loaded.cohort_ids)) == list(map(str, ds.cohort_ids))
 
 
+@st.composite
+def cohort_tables(draw):
+    """A small Dataset whose pw_/bm_/aux cells are each present or missing;
+    a missing cell holds 0, as `load_csv` stores it."""
+    n = draw(st.integers(1, 5))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    def block(width):
+        values = draw(arrays(np.float64, (n, width), elements=finite))
+        mask = draw(arrays(np.bool_, (n, width))).astype(np.float64)
+        return np.where(mask > 0, values, 0.0), mask
+
+    treatments = draw(st.lists(st.sampled_from(["PD-1", "PD-L1", "CTLA-4",
+                                                "CTLA-4+PD-1"]),
+                               min_size=n, max_size=n))
+    n_bm = draw(st.integers(0, 3))
+    pw, pw_m = block(42)
+    bm, bm_m = block(n_bm)
+    tide, tide_m = block(draw(st.integers(0, 2)))
+    ipres, ipres_m = block(draw(st.integers(0, 2)))
+    pheno, pheno_m = block(draw(st.integers(0, 2)))
+    return Dataset(
+        gene_names=["a", "b", "c"],
+        sample_ids=[f"s{i}" for i in range(n)],
+        cohort_ids=np.array([f"c{i % 2}" for i in range(n)], object),
+        cancer_types=np.array(["SKCM"] * n, object),
+        treatment_tokens=np.array(treatments, object),
+        treatments=np.stack([TreatmentTarget.from_token(t).multihot()
+                             for t in treatments]),
+        expression=draw(arrays(np.float64, (n, 3), elements=st.floats(
+            0.0, 1e12, allow_nan=False))),
+        response=draw(arrays(np.int64, n, elements=st.integers(0, 1))),
+        pathway=pw, pathway_mask=pw_m, biomarkers=bm, biomarker_mask=bm_m,
+        tide=tide, tide_mask=tide_m, ipres=ipres, ipres_mask=ipres_m,
+        pheno=pheno, pheno_mask=pheno_m,
+        biomarker_names=[f"m{j}" for j in range(n_bm)])
+
+
+@given(cohort_tables())
+@settings(max_examples=60, deadline=None)
+def test_write_then_load_is_exact(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cohort.csv")
+        write_csv(ds, path)
+        loaded = load_csv(path)
+    assert loaded.sample_ids == ds.sample_ids
+    assert loaded.biomarker_names == ds.biomarker_names
+    assert list(loaded.treatment_tokens) == list(ds.treatment_tokens)
+    for name in ("expression", "response", "treatments", "pathway",
+                 "pathway_mask", "biomarkers", "biomarker_mask", "tide",
+                 "tide_mask", "ipres", "ipres_mask", "pheno", "pheno_mask"):
+        got, want = getattr(loaded, name), getattr(ds, name)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
 class TestNormalize:
     def test_constant_gene_maps_to_zero(self):
         tpm = np.array([[3.0, 1.0], [3.0, 7.0], [3.0, 0.0]])
-        stats = fit_normalization(tpm, np.arange(3))
+        stats = fit_normalization(np.log2(tpm + 1), np.arange(3))
         assert stats.std[0] == 1.0  # zero variance clamped
         x = (np.log2(tpm + 1) - stats.mean) / stats.std
         np.testing.assert_allclose(x[:, 0], 0.0)
@@ -154,6 +216,17 @@ class TestNormalize:
         np.testing.assert_allclose(stats.std, logged.std(axis=0))
         expected_test = (np.log2(tpm[6:] + 1.0) - stats.mean) / stats.std
         np.testing.assert_allclose(x[6:], expected_test)
+
+    def test_log_expression_is_shared_and_read_only(self, rng):
+        tpm = rng.uniform(0, 100, size=(10, 4))
+        ds = _dataset_from_tpm(tpm)
+        assert ds.log_expression is ds.log_expression
+        with pytest.raises(ValueError, match="read-only"):
+            ds.log_expression[0, 0] = 0.0
+        x, stats = normalize(ds, np.arange(6))
+        # the same bytes as log2 and z-score written out in one expression
+        assert x.tobytes() == ((np.log2(tpm + 1.0) - stats.mean)
+                               / stats.std).tobytes()
 
     def test_empty_training_set_rejected(self, rng):
         ds = _dataset_from_tpm(rng.uniform(0, 10, size=(4, 3)))

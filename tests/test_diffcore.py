@@ -95,6 +95,11 @@ class TestElementwise:
         out = tape.softplus(tape.constant([0.0]))
         assert out.data[0] == pytest.approx(np.log(2.0), abs=1e-15)
 
+    def test_softplus_matches_logaddexp(self):
+        x = np.linspace(-800.0, 800.0, 16001)
+        out = Tape().softplus(Tensor(x)).data
+        np.testing.assert_allclose(out, np.logaddexp(0.0, x), rtol=4e-16, atol=0)
+
 
 class TestMse:
     def test_zero_case(self):
@@ -167,6 +172,34 @@ class TestBackward:
     def test_nan_rejected_at_entry(self):
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
+
+    def test_overflowing_primitive_is_named(self):
+        tape = Tape()
+        big = tape.constant([[1e200]])
+        # numpy's own overflow warning is silenced: the check must still fire
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="matmul"):
+                tape.matmul(big, big)
+            with pytest.raises(NonFiniteError, match="scale"):
+                tape.scale(big, 1e300)
+
+    def test_largest_finite_values_accepted(self):
+        # the check is exact: no shortcut that overflows on a finite input
+        Tensor([1e308, 1e308])
+
+    def test_fan_out_gradients_do_not_alias(self):
+        # `a` feeds `add` and `scale`; `add` hands one array to both of its
+        # inputs, so `a`'s second write must not reach `b`'s gradient
+        a = Parameter("a", [1.0, -2.0])
+        b = Parameter("b", [0.5, 3.0])
+        tape = Tape()
+        z = tape.scale(a.tensor, 2.0)
+        y = tape.add(a.tensor, b.tensor)
+        loss = tape.add(tape.sum_squares(y), tape.sum_squares(z))
+        backward(loss, tape)
+        dy = 2.0 * (a.data + b.data)
+        np.testing.assert_array_equal(b.grad, dy)
+        np.testing.assert_array_equal(a.grad, dy + 2.0 * 2.0 * (2.0 * a.data))
 
 
 PRIMITIVE_BUILDERS = {
@@ -284,7 +317,7 @@ class TestOptimizers:
         assert run() == run()
 
 
-@given(st.lists(st.floats(-50, 50), min_size=1, max_size=20))
+@given(st.lists(st.floats(-1000, 1000), min_size=1, max_size=20))
 def test_sigmoid_strictly_inside_unit_interval(values):
     tape = Tape()
     out = tape.sigmoid(tape.constant(values)).data
