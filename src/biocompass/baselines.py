@@ -183,10 +183,11 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray, l2: float = 1.0,
     def loss_and_grad(theta):
         tape = Tape()
         w, b = Tensor(theta[:d, None]), Tensor(theta[d:])
-        logits = tape.add_bias(tape.matmul(tape.constant(x), w), b)
+        logits = tape.linear(tape.constant(x), w, b)
         loss = tape.bce(tape.sigmoid(logits), labels[:, None])
         if l2 > 0:
-            loss = tape.add(loss, tape.scale(tape.sum_squares(w), 0.5 * l2 / n))
+            loss = tape.weighted_sum([loss, tape.sum_squares(w)],
+                                     [1.0, 0.5 * l2 / n])
         diffcore.backward(loss, tape)
         return float(loss.data), np.concatenate([w.grad[:, 0], b.grad])
 

@@ -43,6 +43,10 @@ class ExperimentConfig:
         if any(type(s) is not int for s in self.seeds):
             raise ValueError(f"'seeds' must be a list of integers, "
                              f"got {self.seeds!r}")
+        if not self.seeds:
+            raise ValueError("'seeds' must not be empty")
+        if self.jobs < 1:
+            raise ValueError(f"'jobs' must be >= 1, got {self.jobs}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

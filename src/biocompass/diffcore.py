@@ -29,6 +29,7 @@ class Tensor:
     """A dense float64 array plus an optional accumulated gradient."""
 
     __slots__ = ("data", "grad")
+    needs_grad = True
 
     def __init__(self, data, context: str = "tensor"):
         self.data = np.asarray(data, dtype=np.float64)
@@ -40,8 +41,8 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, grad: np.ndarray) -> None:
-        # the first write copies: a backward pass may hand the same array to
-        # several inputs (add), and a later in-place += must not reach them
+        # the first write copies: a backward pass may hand one array to
+        # several tensors, and a later in-place += must not reach the others
         if self.grad is None:
             self.grad = np.array(grad, dtype=np.float64)
         else:
@@ -49,6 +50,17 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
+
+
+class Constant(Tensor):
+    """A leaf that takes no gradient: primitives skip the products meant for
+    it, and whatever still reaches `accumulate` is dropped."""
+
+    __slots__ = ()
+    needs_grad = False
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        pass
 
 
 class Parameter:
@@ -91,7 +103,7 @@ class Tape:
 
     def constant(self, data) -> Tensor:
         """Leaf tensor that receives no gradient."""
-        return Tensor(data, context="constant")
+        return Constant(data, context="constant")
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
@@ -101,33 +113,52 @@ class Tape:
         out = Tensor(a.data @ b.data, context="matmul")
 
         def backward(grad):
-            a.accumulate(grad @ b.data.T)
-            b.accumulate(a.data.T @ grad)
+            if a.needs_grad:
+                a.accumulate(grad @ b.data.T)
+            if b.needs_grad:
+                b.accumulate(a.data.T @ grad)
 
         return self._push(out, backward)
 
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.data.shape != b.data.shape:
-            raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-        out = Tensor(a.data + b.data, context="add")
-
-        def backward(grad):
-            a.accumulate(grad)
-            b.accumulate(grad)
-
-        return self._push(out, backward)
-
-    def add_bias(self, x: Tensor, bias: Tensor) -> Tensor:
-        """Row-broadcast add: x[m, n] + bias[n]."""
-        if x.data.ndim != 2 or bias.data.shape != (x.data.shape[1],):
+    def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        """Affine map x[m, k] @ w[k, n] + b[n] as one record."""
+        if (x.data.ndim != 2 or w.data.ndim != 2
+                or x.data.shape[1] != w.data.shape[0]
+                or b.data.shape != (w.data.shape[1],)):
             raise ValueError(
-                f"add_bias shape mismatch: {x.data.shape} vs {bias.data.shape}"
+                f"linear shape mismatch: {x.data.shape} @ {w.data.shape} "
+                f"+ {b.data.shape}"
             )
-        out = Tensor(x.data + bias.data, context="add_bias")
+        out = Tensor(x.data @ w.data + b.data, context="linear")
 
         def backward(grad):
-            x.accumulate(grad)
-            bias.accumulate(grad.sum(axis=0))
+            if x.needs_grad:
+                x.accumulate(grad @ w.data.T)
+            if w.needs_grad:
+                w.accumulate(x.data.T @ grad)
+            b.accumulate(grad.sum(axis=0))
+
+        return self._push(out, backward)
+
+    def weighted_sum(self, terms, weights) -> Tensor:
+        """((t0 * w0 + t1 * w1) + t2 * w2) + ... over same-shaped tensors
+        and float weights, as one record."""
+        if not terms or len(terms) != len(weights):
+            raise ValueError(
+                f"weighted_sum needs one weight per term, got {len(terms)} "
+                f"terms and {len(weights)} weights"
+            )
+        shapes = {t.data.shape for t in terms}
+        if len(shapes) != 1:
+            raise ValueError(f"weighted_sum shape mismatch: {sorted(shapes)}")
+        total = terms[0].data * weights[0]
+        for t, w in zip(terms[1:], weights[1:]):
+            total = total + t.data * w
+        out = Tensor(total, context="weighted_sum")
+
+        def backward(grad):
+            for t, w in zip(terms, weights):
+                t.accumulate(grad * w)
 
         return self._push(out, backward)
 
@@ -139,14 +170,6 @@ class Tape:
         def backward(grad):
             a.accumulate(grad * b.data)
             b.accumulate(grad * a.data)
-
-        return self._push(out, backward)
-
-    def scale(self, x: Tensor, factor: float) -> Tensor:
-        out = Tensor(x.data * factor, context="scale")
-
-        def backward(grad):
-            x.accumulate(grad * factor)
 
         return self._push(out, backward)
 
@@ -265,9 +288,10 @@ class Adam:
 
     Their values are packed into one contiguous vector and each parameter's
     `.data` becomes a view into it, so a step is a handful of whole-vector
-    operations. `trainable` is read here, once: a parameter frozen at
-    construction is never touched by `step`, and flipping the flag later has
-    no effect on this optimizer.
+    operations, done in place in two preallocated scratch vectors in the
+    order of the textbook update. `trainable` is read here, once: a
+    parameter frozen at construction is never touched by `step`, and
+    flipping the flag later has no effect on this optimizer.
     """
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
@@ -291,6 +315,7 @@ class Adam:
         self._g = np.zeros_like(self._flat)
         self._m = np.zeros_like(self._flat)
         self._v = np.zeros_like(self._flat)
+        self._scratch = (np.empty_like(self._flat), np.empty_like(self._flat))
 
     def step(self) -> None:
         g = self._g
@@ -304,8 +329,20 @@ class Adam:
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         m, v = self._m, self._v
+        s1, s2 = self._scratch
+        # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        np.multiply(g, 1.0 - self.beta1, out=s1)
+        m += s1
         v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        self._flat -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        np.multiply(g, 1.0 - self.beta2, out=s1)
+        s1 *= g
+        v += s1
+        # flat -= (lr*(m/b1t)) / (sqrt(v/b2t) + eps)
+        np.divide(m, b1t, out=s1)
+        s1 *= self.lr
+        np.divide(v, b2t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        self._flat -= s1

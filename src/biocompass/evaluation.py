@@ -109,6 +109,13 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.threshold < 1:
+            raise ValueError(
+                f"threshold must be in (0, 1), got {self.threshold}")
+        if self.mode not in ("pft", "fft"):
+            raise ValueError(f"mode must be 'pft' or 'fft', got {self.mode!r}")
 
 
 def _targets_slice(dataset: Dataset, idx: np.ndarray) -> BatchTargets:

@@ -76,6 +76,12 @@ class ModelConfig:
     pathway_hidden: int = 32
     gating_enabled: bool = True
 
+    def __post_init__(self):
+        for name in ("gate_hidden", "pathway_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -215,13 +221,13 @@ class Model:
                 f"expression width {expression.shape[1]} != gene count {enc.gene_count}"
             )
         x = tape.constant(expression)
-        return tape.scale(tape.matmul(x, self._p("encoder.gene_embedding")),
-                          1.0 / enc.gene_count)
+        return tape.weighted_sum(
+            [tape.matmul(x, self._p("encoder.gene_embedding"))],
+            [1.0 / enc.gene_count])
 
     def concepts(self, tape: Tape, pooled: Tensor) -> Tensor:
         """Nonnegative concept scores: softplus(pooled @ W_c + b_c)."""
-        z = tape.add_bias(tape.matmul(pooled, self._p("bottleneck.w")),
-                          self._p("bottleneck.b"))
+        z = tape.linear(pooled, self._p("bottleneck.w"), self._p("bottleneck.b"))
         return tape.softplus(z)
 
     def gate(self, tape: Tape, concepts: Tensor, treatments: np.ndarray
@@ -234,22 +240,20 @@ class Model:
             raise ValueError("every sample needs at least one treatment target bit")
         t = tape.constant(treatments)
         e_t = tape.matmul(t, self._p("gating.treatment_embedding"))
-        h = tape.relu(tape.add_bias(tape.matmul(e_t, self._p("gating.w1")),
-                                    self._p("gating.b1")))
-        gates = tape.sigmoid(tape.add_bias(tape.matmul(h, self._p("gating.w2")),
-                                           self._p("gating.b2")))
+        h = tape.relu(tape.linear(e_t, self._p("gating.w1"), self._p("gating.b1")))
+        gates = tape.sigmoid(tape.linear(h, self._p("gating.w2"),
+                                         self._p("gating.b2")))
         return gates, tape.mul(concepts, gates)
 
     def classify(self, tape: Tape, concepts: Tensor) -> Tensor:
-        logits = tape.add_bias(tape.matmul(concepts, self._p("classifier.w")),
-                               self._p("classifier.b"))
+        logits = tape.linear(concepts, self._p("classifier.w"),
+                             self._p("classifier.b"))
         return tape.sigmoid(logits)
 
     def predict_pathways(self, tape: Tape, pooled: Tensor) -> Tensor:
-        h = tape.relu(tape.add_bias(tape.matmul(pooled, self._p("pathway.w1")),
-                                    self._p("pathway.b1")))
-        return tape.add_bias(tape.matmul(h, self._p("pathway.w2")),
-                             self._p("pathway.b2"))
+        h = tape.relu(tape.linear(pooled, self._p("pathway.w1"),
+                                  self._p("pathway.b1")))
+        return tape.linear(h, self._p("pathway.w2"), self._p("pathway.b2"))
 
     def project_concepts(self, tape: Tape, concepts: Tensor) -> Tensor:
         return tape.matmul(concepts, self._p("align.w"))
@@ -257,8 +261,8 @@ class Model:
     def predict_aux(self, tape: Tape, concepts: Tensor) -> dict:
         out = {}
         for task in ("tide", "ipres", "pheno"):
-            out[task] = tape.add_bias(tape.matmul(concepts, self._p(f"aux.{task}_w")),
-                                      self._p(f"aux.{task}_b"))
+            out[task] = tape.linear(concepts, self._p(f"aux.{task}_w"),
+                                    self._p(f"aux.{task}_b"))
         return out
 
     def forward(self, tape: Tape, expression: np.ndarray, treatments: np.ndarray
@@ -317,6 +321,7 @@ class Model:
                     raise ValueError(
                         f"checkpoint shape mismatch for {name}: "
                         f"{stored.shape} vs {p.data.shape}")
-                p.tensor.data = stored.copy()
+                p.tensor = Tensor(stored,
+                                  context=f"checkpoint parameter {name}")
                 p.trainable = bool(trainable[i])
         return model

@@ -77,16 +77,14 @@ def auxiliary_loss(tape: Tape, preds: dict, targets: dict, masks: dict
                    ) -> tuple[dict, Tensor]:
     """Per-task masked squared error plus the summed total."""
     per_task = {}
-    total = None
     for task in ("tide", "ipres", "pheno"):
         if task not in targets or targets[task] is None:
             continue
-        term = tape.mse(preds[task], targets[task], masks.get(task))
-        per_task[task] = term
-        total = term if total is None else tape.add(total, term)
-    if total is None:
-        total = tape.constant(0.0)
-    return per_task, total
+        per_task[task] = tape.mse(preds[task], targets[task], masks.get(task))
+    if not per_task:
+        return per_task, tape.constant(0.0)
+    terms = list(per_task.values())
+    return per_task, tape.weighted_sum(terms, [1.0] * len(terms))
 
 
 def composite_loss(tape: Tape, outputs: ForwardOutputs, targets: BatchTargets,
@@ -96,21 +94,23 @@ def composite_loss(tape: Tape, outputs: ForwardOutputs, targets: BatchTargets,
     heads receive no gradient."""
     # the classifier emits a [B, 1] column
     cls = tape.bce(outputs.prob, targets.response[:, None])
-    total = tape.scale(cls, weights.cls)
+    terms, term_weights = [cls], [weights.cls]
 
     pathway_val = 0.0
     if weights.pathway > 0 and targets.pathway is not None:
         pw = pathway_loss(tape, outputs.pathway_pred, targets.pathway,
                           targets.pathway_mask)
         pathway_val = float(pw.data)
-        total = tape.add(total, tape.scale(pw, weights.pathway))
+        terms.append(pw)
+        term_weights.append(weights.pathway)
 
     align_val = 0.0
     if weights.align > 0 and targets.biomarkers is not None:
         al = alignment_loss(tape, outputs.projection, targets.biomarkers,
                             targets.biomarker_mask)
         align_val = float(al.data)
-        total = tape.add(total, tape.scale(al, weights.align))
+        terms.append(al)
+        term_weights.append(weights.align)
 
     aux_vals = {"tide": 0.0, "ipres": 0.0, "pheno": 0.0}
     if weights.aux > 0 and targets.aux:
@@ -118,7 +118,10 @@ def composite_loss(tape: Tape, outputs: ForwardOutputs, targets: BatchTargets,
             tape, outputs.aux, targets.aux, targets.aux_masks or {})
         for task, term in per_task.items():
             aux_vals[task] = float(term.data)
-        total = tape.add(total, tape.scale(aux_sum, weights.aux))
+        terms.append(aux_sum)
+        term_weights.append(weights.aux)
+
+    total = tape.weighted_sum(terms, term_weights)
 
     breakdown = LossBreakdown(
         cls=float(cls.data), pathway=pathway_val, align=align_val,

@@ -164,6 +164,14 @@ class TestErrors:
             ("train: {epochs: 0}\n", "'train': epochs must be >= 1, got 0"),
             ("train: {batch_size: 0}\n",
              "'train': batch_size must be >= 1, got 0"),
+            ("model: {gate_hidden: 0}\n",
+             "'model': gate_hidden must be >= 1, got 0"),
+            ("train: {threshold: 2.0}\n",
+             "'train': threshold must be in (0, 1), got 2.0"),
+            ("train: {lr: -0.01}\n", "'train': lr must be > 0, got -0.01"),
+            ("train: {mode: xft}\n", "'train': mode must be 'pft' or 'fft'"),
+            ("jobs: 0\n", "'jobs' must be >= 1, got 0"),
+            ("seeds: []\n", "'seeds' must not be empty"),
         ]:
             bad = tmp_path / "bad.yaml"
             bad.write_text(text)

@@ -180,35 +180,77 @@ class TestBackward:
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteError, match="matmul"):
                 tape.matmul(big, big)
-            with pytest.raises(NonFiniteError, match="scale"):
-                tape.scale(big, 1e300)
+            with pytest.raises(NonFiniteError, match="weighted_sum"):
+                tape.weighted_sum([big], [1e300])
 
     def test_largest_finite_values_accepted(self):
         # the check is exact: no shortcut that overflows on a finite input
         Tensor([1e308, 1e308])
 
     def test_fan_out_gradients_do_not_alias(self):
-        # `a` feeds `add` and `scale`; `add` hands one array to both of its
-        # inputs, so `a`'s second write must not reach `b`'s gradient
+        # `a` feeds two `weighted_sum`s, so its gradient is written twice,
+        # the second time in place; `b` must see only its share from `y`
         a = Parameter("a", [1.0, -2.0])
         b = Parameter("b", [0.5, 3.0])
         tape = Tape()
-        z = tape.scale(a.tensor, 2.0)
-        y = tape.add(a.tensor, b.tensor)
-        loss = tape.add(tape.sum_squares(y), tape.sum_squares(z))
+        z = tape.weighted_sum([a.tensor], [2.0])
+        y = tape.weighted_sum([a.tensor, b.tensor], [1.0, 1.0])
+        loss = tape.weighted_sum([tape.sum_squares(y), tape.sum_squares(z)],
+                                 [1.0, 1.0])
         backward(loss, tape)
         dy = 2.0 * (a.data + b.data)
         np.testing.assert_array_equal(b.grad, dy)
         np.testing.assert_array_equal(a.grad, dy + 2.0 * 2.0 * (2.0 * a.data))
+
+    def test_constant_takes_no_gradient(self):
+        # a constant between two parameters: their gradients are the same
+        # as with the constant's values held in a plain tensor
+        w = Parameter("w", [[0.5, -1.0], [2.0, 0.25]])
+        b = Parameter("b", [0.1, -0.3])
+        x_vals = np.array([[1.0, 2.0], [-0.5, 0.75], [3.0, -1.0]])
+        target = np.ones((3, 2))
+        grads = []
+        for x in (Tape().constant(x_vals), Tensor(x_vals)):
+            zero_grads([w, b])
+            tape = Tape()
+            y = tape.linear(x, w.tensor, b.tensor)
+            loss = tape.weighted_sum(
+                [tape.mse(y, target), tape.mse(tape.matmul(x, w.tensor), target),
+                 tape.constant(4.0)], [1.0, 0.5, 2.0])
+            backward(loss, tape)
+            grads.append((x.grad, w.grad.copy(), b.grad.copy()))
+        (c_grad, w_c, b_c), (t_grad, w_t, b_t) = grads
+        assert c_grad is None and t_grad is not None
+        np.testing.assert_array_equal(w_c, w_t)
+        np.testing.assert_array_equal(b_c, b_t)
+
+
+def _weighted_sum_builder(i):
+    """p as term i of three, the other terms constants."""
+    def build(tape, p, rng):
+        terms = [tape.constant(rng.normal(size=p.data.shape)) for _ in range(3)]
+        terms[i] = p.tensor
+        return tape.mse(tape.weighted_sum(terms, [0.3, -1.7, 2.1]),
+                        rng.normal(size=p.data.shape))
+    return build
 
 
 PRIMITIVE_BUILDERS = {
     "matmul": lambda tape, p, rng: tape.mse(
         tape.matmul(p.tensor, tape.constant(rng.normal(size=(p.data.shape[1], 2)))),
         rng.normal(size=(p.data.shape[0], 2))),
-    "add_bias": lambda tape, p, rng: tape.mse(
-        tape.add_bias(tape.constant(rng.normal(size=(3, p.data.shape[0]))),
-                      p.tensor),
+    "linear_x": lambda tape, p, rng: tape.mse(
+        tape.linear(p.tensor, tape.constant(rng.normal(size=(p.data.shape[1], 2))),
+                    tape.constant(rng.normal(size=2))),
+        rng.normal(size=(p.data.shape[0], 2))),
+    "linear_w": lambda tape, p, rng: tape.mse(
+        tape.linear(tape.constant(rng.normal(size=(3, p.data.shape[0]))),
+                    p.tensor, tape.constant(rng.normal(size=p.data.shape[1]))),
+        rng.normal(size=(3, p.data.shape[1]))),
+    "linear_b": lambda tape, p, rng: tape.mse(
+        tape.linear(tape.constant(rng.normal(size=(3, 4))),
+                    tape.constant(rng.normal(size=(4, p.data.shape[0]))),
+                    p.tensor),
         rng.normal(size=(3, p.data.shape[0]))),
     "mul": lambda tape, p, rng: tape.mse(
         tape.mul(p.tensor, tape.constant(rng.normal(size=p.data.shape))),
@@ -221,7 +263,9 @@ PRIMITIVE_BUILDERS = {
         tape.softplus(p.tensor), rng.normal(size=p.data.shape)),
     "bce": lambda tape, p, rng: tape.bce(
         tape.sigmoid(p.tensor), (rng.random(p.data.shape) < 0.5).astype(float)),
-    "sum_squares": lambda tape, p, rng: tape.scale(tape.sum_squares(p.tensor), 0.3),
+    "sum_squares": lambda tape, p, rng: tape.weighted_sum(
+        [tape.sum_squares(p.tensor)], [0.3]),
+    **{f"weighted_sum_{i}": _weighted_sum_builder(i) for i in range(3)},
 }
 
 
@@ -231,7 +275,7 @@ def test_primitive_gradients_match_finite_differences(name):
         rng = np.random.default_rng(seed)
         shape = (int(rng.integers(2, 5)), int(rng.integers(2, 5)))
         # avoid the relu kink: keep values away from 0
-        if name == "add_bias":
+        if name == "linear_b":
             shape = (shape[0],)
         base = rng.normal(size=shape)
         base = np.where(np.abs(base) < 1e-3, 0.1, base)

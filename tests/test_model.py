@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from biocompass.diffcore import Tape, backward, zero_grads
+from biocompass.diffcore import NonFiniteError, Tape, backward, zero_grads
 from biocompass.model import Model, TreatmentTarget, N_CONCEPTS, N_PATHWAYS
 from biocompass.objective import LossWeights
 from conftest import composite_scalar, random_batch, tiny_model_config
@@ -299,6 +299,20 @@ class TestCheckpoint:
         np.savez(buf, **arrays)
         path.write_bytes(buf.getvalue())
         with pytest.raises(ValueError, match="pooling"):
+            Model.load(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        model = Model(tiny_model_config(), seed=0)
+        path = tmp_path / "model.npz"
+        model.save(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["param/gating.w1"][0, 0] = np.nan
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        path.write_bytes(buf.getvalue())
+        with pytest.raises(NonFiniteError,
+                           match="checkpoint parameter gating.w1"):
             Model.load(path)
 
     def test_pft_invariance_of_encoder_output(self, rng):
