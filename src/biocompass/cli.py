@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 import yaml
@@ -95,28 +95,32 @@ def _synth_kwargs(d: dict) -> dict:
 
 
 def _build_config(args) -> ExperimentConfig:
+    """The config file (or the defaults) with the flags applied on top; the
+    result is rebuilt with `replace`, so a flag value passes the same checks
+    as a value from the file."""
     cfg = (ExperimentConfig.from_file(args.config) if args.config
            else ExperimentConfig())
+    flags = {}
     if getattr(args, "dataset", None):
-        cfg.dataset_csv = args.dataset
+        flags["dataset_csv"] = args.dataset
     if getattr(args, "out_dir", None):
-        cfg.out_dir = args.out_dir
+        flags["out_dir"] = args.out_dir
     if getattr(args, "protocol", None):
-        cfg.protocol = args.protocol
-    if getattr(args, "jobs", None):
-        cfg.jobs = args.jobs
+        flags["protocol"] = args.protocol
+    if getattr(args, "jobs", None) is not None:
+        flags["jobs"] = args.jobs
     if getattr(args, "weighted", False):
-        cfg.weighted = True
+        flags["weighted"] = True
     if getattr(args, "seed_list", None):
-        cfg.seeds = [int(s) for s in args.seed_list.split(",")]
+        flags["seeds"] = [int(s) for s in args.seed_list.split(",")]
     elif not args.config and os.environ.get("BIOCOMPASS_SEED"):
-        cfg.seeds = [int(os.environ["BIOCOMPASS_SEED"])]
+        flags["seeds"] = [int(os.environ["BIOCOMPASS_SEED"])]
     if getattr(args, "mode", None):
         cfg.train["mode"] = args.mode
     for flag in ("gating", "pathway", "aux", "alignment"):
         if getattr(args, f"disable_{flag}", False):
             cfg.ablation[f"disable_{flag}"] = True
-    return cfg
+    return replace(cfg, **flags)
 
 
 def _add_common(parser) -> None:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import N_PATHWAYS, TreatmentTarget, BASE_TARGETS
+from .model import N_PATHWAYS, TreatmentTarget
 
 RESERVED_COLUMNS = ("sample_id", "cohort_id", "cancer_type", "treatment", "response")
 
@@ -25,21 +25,6 @@ SYNTH_CANCER_TYPES = ("BLCA", "KIRC", "SKCM", "STAD")
 
 class SchemaError(ValueError):
     """A row or column violates the cohort CSV contract."""
-
-
-@dataclass
-class CohortRecord:
-    sample_id: str
-    cohort_id: str
-    cancer_type: str
-    treatment: TreatmentTarget
-    expression: np.ndarray
-    response: int
-    pathway: np.ndarray | None = None
-    biomarkers: np.ndarray | None = None
-    tide: np.ndarray | None = None
-    ipres: np.ndarray | None = None
-    pheno: np.ndarray | None = None
 
 
 @dataclass
@@ -86,23 +71,6 @@ class Dataset:
             "d_I": self.ipres.shape[1],
             "d_P": self.pheno.shape[1],
         }
-
-    def record(self, i: int) -> CohortRecord:
-        def opt(values, mask):
-            return values[i] if mask[i].any() else None
-        return CohortRecord(
-            sample_id=self.sample_ids[i],
-            cohort_id=str(self.cohort_ids[i]),
-            cancer_type=str(self.cancer_types[i]),
-            treatment=TreatmentTarget.from_token(str(self.treatment_tokens[i])),
-            expression=self.expression[i],
-            response=int(self.response[i]),
-            pathway=opt(self.pathway, self.pathway_mask),
-            biomarkers=opt(self.biomarkers, self.biomarker_mask),
-            tide=opt(self.tide, self.tide_mask),
-            ipres=opt(self.ipres, self.ipres_mask),
-            pheno=opt(self.pheno, self.pheno_mask),
-        )
 
     def group_values(self, key: str) -> np.ndarray:
         if key == "cohort":
@@ -181,17 +149,29 @@ def normalize(dataset: Dataset, train_idx: np.ndarray
 # ---- CSV ingestion ----------------------------------------------------
 
 
-def _parse_float_block(row: dict, cols: list, row_no: int) -> tuple[np.ndarray, np.ndarray]:
+def _parse_float_block(cells: list, cols: list, row_no: int, path
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Values and presence mask of one row's cells of a numeric block.
+
+    A block of numbers converts in one numpy call, whose str -> float64 cast
+    accepts the strings `float()` accepts and gives the same bits. A block
+    with an empty or non-numeric cell takes the per-cell loop, which marks
+    empty cells missing and names a non-numeric cell's row and column."""
+    try:
+        return np.array(cells, dtype=np.float64), np.ones(len(cells))
+    except ValueError:
+        pass
     values = np.zeros(len(cols))
     mask = np.zeros(len(cols))
-    for j, col in enumerate(cols):
-        cell = row[col].strip()
+    for j, (col, cell) in enumerate(zip(cols, cells)):
+        cell = cell.strip()
         if cell == "":
             continue
         try:
             values[j] = float(cell)
         except ValueError:
-            raise SchemaError(f"row {row_no}: column {col!r} is not numeric: {cell!r}")
+            raise SchemaError(f"{path}: row {row_no}: column {col!r} "
+                              f"is not numeric: {cell!r}")
         mask[j] = 1.0
     return values, mask
 
@@ -205,29 +185,28 @@ def _reject_cells(path, bad: np.ndarray, cols: list, what: str) -> None:
 
 def load_csv(path) -> Dataset:
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError(f"{path}: empty file, header row required")
-        header = reader.fieldnames
-        seen = set()
-        for col in header:
-            if col in seen:
+        position = {}
+        for j, col in enumerate(header):
+            if col in position:
                 raise SchemaError(f"{path}: duplicate column {col!r} in header")
-            seen.add(col)
+            position[col] = j
         for col in RESERVED_COLUMNS:
-            if col not in header:
+            if col not in position:
                 raise SchemaError(f"{path}: missing reserved column {col!r}")
-        expr_cols = [c for c in header if c.startswith("expr_")]
-        pw_cols = [c for c in header if c.startswith("pw_")]
-        bm_cols = [c for c in header if c.startswith("bm_")]
-        tide_cols = [c for c in header if c.startswith("tide_")]
-        ipres_cols = [c for c in header if c.startswith("ipres_")]
-        pheno_cols = [c for c in header if c.startswith("pheno_")]
-        if not expr_cols:
+        blocks = {name: [c for c in header if c.startswith(name + "_")]
+                  for name in ("expr", "pw", "bm", "tide", "ipres", "pheno")}
+        if not blocks["expr"]:
             raise SchemaError(f"{path}: no expr_ columns found")
-        if pw_cols and len(pw_cols) != N_PATHWAYS:
-            raise SchemaError(
-                f"{path}: expected {N_PATHWAYS} pw_ columns, found {len(pw_cols)}")
+        if blocks["pw"] and len(blocks["pw"]) != N_PATHWAYS:
+            raise SchemaError(f"{path}: expected {N_PATHWAYS} pw_ columns, "
+                              f"found {len(blocks['pw'])}")
+        # the column indices of each field, resolved once from the header
+        reserved = [position[c] for c in RESERVED_COLUMNS]
+        take = {name: [position[c] for c in cols] for name, cols in blocks.items()}
 
         rows = {k: [] for k in ("sample_id", "cohort_id", "cancer_type",
                                 "treatment", "response", "expr", "pw", "pw_m",
@@ -235,42 +214,49 @@ def load_csv(path) -> Dataset:
                                 "ipres_m", "pheno", "pheno_m")}
         n_cols = len(header)
         sample_rows = {}
-        for row_no, row in enumerate(reader, start=2):
-            if None in row or any(v is None for v in row.values()):
+        row_no = 1
+        for row in reader:
+            if not row:  # a blank line: skipped, and not counted as a row
+                continue
+            row_no += 1
+            if len(row) != n_cols:
                 raise SchemaError(f"{path}: row {row_no}: ragged row "
                                   f"(expected {n_cols} cells)")
-            for key in ("sample_id", "cohort_id", "cancer_type"):
-                if not row[key].strip():
+            sample_id, cohort_id, cancer_type, token, resp = (
+                row[j] for j in reserved)
+            for key, cell in (("sample_id", sample_id), ("cohort_id", cohort_id),
+                              ("cancer_type", cancer_type)):
+                if not cell.strip():
                     raise SchemaError(f"{path}: row {row_no}: empty {key}")
             try:
-                treatment = TreatmentTarget.from_token(row["treatment"])
+                treatment = TreatmentTarget.from_token(token)
             except ValueError as exc:
                 raise SchemaError(f"{path}: row {row_no}: {exc}")
-            resp = row["response"].strip()
+            resp = resp.strip()
             if resp not in ("0", "1"):
                 raise SchemaError(
                     f"{path}: row {row_no}: response must be 0 or 1, got {resp!r}")
-            sample_id = row["sample_id"].strip()
+            sample_id = sample_id.strip()
             if sample_id in sample_rows:
                 raise SchemaError(
                     f"{path}: row {row_no}: duplicate sample_id {sample_id!r} "
                     f"(first in row {sample_rows[sample_id]})")
             sample_rows[sample_id] = row_no
-            expr, expr_mask = _parse_float_block(row, expr_cols, row_no)
+            expr, expr_mask = _parse_float_block(
+                [row[j] for j in take["expr"]], blocks["expr"], row_no, path)
             if not expr_mask.all():
-                missing = expr_cols[int(np.argmin(expr_mask))]
+                missing = blocks["expr"][int(np.argmin(expr_mask))]
                 raise SchemaError(
                     f"{path}: row {row_no}: expression cell {missing!r} is empty")
             rows["sample_id"].append(sample_id)
-            rows["cohort_id"].append(row["cohort_id"].strip())
-            rows["cancer_type"].append(row["cancer_type"].strip())
+            rows["cohort_id"].append(cohort_id.strip())
+            rows["cancer_type"].append(cancer_type.strip())
             rows["treatment"].append(treatment.token())
             rows["response"].append(int(resp))
             rows["expr"].append(expr)
-            for name, cols in (("pw", pw_cols), ("bm", bm_cols),
-                               ("tide", tide_cols), ("ipres", ipres_cols),
-                               ("pheno", pheno_cols)):
-                vals, mask = _parse_float_block(row, cols, row_no)
+            for name in ("pw", "bm", "tide", "ipres", "pheno"):
+                vals, mask = _parse_float_block(
+                    [row[j] for j in take[name]], blocks[name], row_no, path)
                 rows[name].append(vals)
                 rows[name + "_m"].append(mask)
 
@@ -278,22 +264,22 @@ def load_csv(path) -> Dataset:
         raise SchemaError(f"{path}: no data rows")
 
     expression = np.asarray(rows["expr"])
-    _reject_cells(path, ~np.isfinite(expression), expr_cols, "non-finite TPM")
-    _reject_cells(path, expression < 0, expr_cols, "negative TPM")
+    _reject_cells(path, ~np.isfinite(expression), blocks["expr"], "non-finite TPM")
+    _reject_cells(path, expression < 0, blocks["expr"], "negative TPM")
 
-    def block(name, cols):
+    def block(name):
         values = np.asarray(rows[name])
-        _reject_cells(path, ~np.isfinite(values), cols, "non-finite value")
+        _reject_cells(path, ~np.isfinite(values), blocks[name], "non-finite value")
         return values, np.asarray(rows[name + "_m"])
 
-    pw, pw_m = block("pw", pw_cols)
-    bm, bm_m = block("bm", bm_cols)
-    tide, tide_m = block("tide", tide_cols)
-    ipres, ipres_m = block("ipres", ipres_cols)
-    pheno, pheno_m = block("pheno", pheno_cols)
+    pw, pw_m = block("pw")
+    bm, bm_m = block("bm")
+    tide, tide_m = block("tide")
+    ipres, ipres_m = block("ipres")
+    pheno, pheno_m = block("pheno")
     tokens = np.asarray(rows["treatment"], dtype=object)
     return Dataset(
-        gene_names=[c[len("expr_"):] for c in expr_cols],
+        gene_names=[c[len("expr_"):] for c in blocks["expr"]],
         sample_ids=rows["sample_id"],
         cohort_ids=np.asarray(rows["cohort_id"], dtype=object),
         cancer_types=np.asarray(rows["cancer_type"], dtype=object),
@@ -307,7 +293,7 @@ def load_csv(path) -> Dataset:
         tide=tide, tide_mask=tide_m,
         ipres=ipres, ipres_mask=ipres_m,
         pheno=pheno, pheno_mask=pheno_m,
-        biomarker_names=[c[len("bm_"):] for c in bm_cols],
+        biomarker_names=[c[len("bm_"):] for c in blocks["bm"]],
     )
 
 

@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import stdtrit
 
 from . import diffcore
 from .data import Dataset, normalize, split_by_group
@@ -38,9 +38,26 @@ def roc_auc(scores, labels):
     if n_pos == 0 or n_neg == 0:
         warnings.warn("roc_auc undefined: test labels contain a single class")
         return None
-    ranks = scipy_stats.rankdata(scores)  # ties share their average rank
+    ranks = _average_ranks(scores)
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks in which tied values share their average rank, as
+    `scipy.stats.rankdata` computes them. `count[d]` is the number of values
+    at or below the d-th smallest distinct value, so that value's tie run
+    holds ranks count[d-1]+1..count[d] and each member gets their mean.
+    A NaN makes every rank NaN, as in `rankdata`."""
+    if np.isnan(values).any():
+        return np.full(len(values), np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    dense = np.empty(len(values), dtype=np.intp)
+    dense[order] = np.cumsum(first)
+    count = np.r_[np.flatnonzero(first), len(values)]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 def threshold_metrics(probs, labels, threshold: float = 0.5) -> dict:
@@ -88,7 +105,7 @@ def aggregate_seeds(values) -> tuple[float, float, float]:
         warnings.warn("single seed: confidence interval degenerates to the mean")
         return mean, mean, mean
     s = float(values.std(ddof=1))
-    t = float(scipy_stats.t.ppf(0.975, n - 1))
+    t = float(stdtrit(n - 1, 0.975))  # the 97.5% Student-t quantile
     half = t * s / float(np.sqrt(n))
     return mean, mean - half, mean + half
 

@@ -179,6 +179,16 @@ class TestErrors:
             err = capsys.readouterr().err
             assert "error:" in err and named in err, (text, err)
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_out_of_range_jobs_flag_fails(self, config_path, tmp_path, capsys,
+                                          jobs):
+        argv = ["eval", "--config", config_path, "--jobs", jobs,
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: 'jobs' must be >= 1, got {jobs}" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset_file_fails(self, capsys):
         assert main(["schema", "--dataset", "/nonexistent.csv"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -79,13 +79,6 @@ class TestLoadCsv:
         assert ds.biomarker_mask[0, 0] == 1.0
         assert ds.biomarker_mask[1, 0] == 0.0  # empty cell -> missing, not 0
 
-    def test_missing_record_fields_surface_in_record(self, tmp_path):
-        path = make_csv(tmp_path, [well_formed_row()])
-        rec = load_csv(path).record(0)
-        assert rec.sample_id == "s1"
-        assert rec.treatment.token() == "PD-1"
-        assert rec.biomarkers is not None
-
     def test_empty_expression_cell_rejected(self, tmp_path):
         path = make_csv(tmp_path, [well_formed_row(expr=("", "2.0"))])
         with pytest.raises(SchemaError, match="expr"):
@@ -120,6 +113,132 @@ class TestLoadCsv:
         path = make_csv(tmp_path, [well_formed_row()], header=header)
         with pytest.raises(SchemaError, match="duplicate column 'expr_a'"):
             load_csv(path)
+
+
+WIDE_GENES = [f"g{j}" for j in range(12)]
+WIDE_HEADER = ("sample_id,cohort_id,cancer_type,treatment,response,"
+               + ",".join(f"expr_{g}" for g in WIDE_GENES)
+               + ",pw_" + ",pw_".join(str(i) for i in range(1, 43))
+               + ",bm_x,bm_y,tide_1,ipres_1,pheno_1")
+
+
+def wide_row(sid="s1", cohort="c1", expr=None, pw=None, bm=("0.3", "0.4"),
+             aux=("0.2", "0.4", "0.6")):
+    expr = expr or [f"{j + 0.5}" for j in range(len(WIDE_GENES))]
+    pw = pw or ["0.1"] * 42
+    return ",".join([sid, cohort, "SKCM", "PD-1", "1", *expr, *pw, *bm, *aux])
+
+
+def per_cell(cells):
+    """The per-cell oracle: an empty or blank cell is missing (0, mask 0),
+    any other cell is `float()` of its stripped text."""
+    present = [c.strip() != "" for c in cells]
+    values = [float(c) if p else 0.0 for c, p in zip(cells, present)]
+    return np.array(values), np.array(present, dtype=np.float64)
+
+
+class TestParser:
+    """The one-call-per-block conversion against the per-cell path."""
+
+    def test_non_numeric_expression_cell_names_path_row_and_column(
+            self, tmp_path):
+        expr = [f"{j}.25" for j in range(len(WIDE_GENES))]
+        expr[6] = "1.5x"
+        path = make_csv(tmp_path, [wide_row("s1"), wide_row("s2", expr=expr)],
+                        header=WIDE_HEADER)
+        with pytest.raises(SchemaError) as exc:
+            load_csv(path)
+        assert str(exc.value) == (
+            f"{path}: row 3: column 'expr_g6' is not numeric: '1.5x'")
+
+    def test_non_numeric_target_cell_names_row_and_column(self, tmp_path):
+        path = make_csv(tmp_path, [wide_row(bm=("0.3", "n/a"))],
+                        header=WIDE_HEADER)
+        with pytest.raises(SchemaError,
+                           match="row 2: column 'bm_y' is not numeric: 'n/a'"):
+            load_csv(path)
+
+    def test_spellings_load_with_the_bits_of_float(self, tmp_path):
+        expr = [" 1.5", "2.5 ", "+1", ".5", "1e3", "\t7.25", "1E-3", "0010",
+                "1_000", "3.", "+.75", " 4e+2 "]
+        path = make_csv(tmp_path, [wide_row(expr=expr)], header=WIDE_HEADER)
+        ds = load_csv(path)
+        assert ds.expression[0].tobytes() == per_cell(expr)[0].tobytes()
+        np.testing.assert_array_equal(ds.expression[0][:5],
+                                      [1.5, 2.5, 1.0, 0.5, 1000.0])
+
+    def test_empty_target_cells_keep_their_masks(self, tmp_path):
+        pw = ["0.1"] * 42
+        pw[3] = ""
+        pw[40] = "  "
+        path = make_csv(tmp_path, [wide_row("s1"),
+                                   wide_row("s2", pw=pw, bm=("", "0.9"),
+                                            aux=("0.2", "", "0.6"))],
+                        header=WIDE_HEADER)
+        ds = load_csv(path)
+        np.testing.assert_array_equal(ds.pathway_mask[0], np.ones(42))
+        want = np.ones(42)
+        want[[3, 40]] = 0.0
+        np.testing.assert_array_equal(ds.pathway_mask[1], want)
+        assert ds.pathway[1, 3] == 0.0 and ds.pathway[1, 40] == 0.0
+        np.testing.assert_array_equal(ds.biomarker_mask, [[1, 1], [0, 1]])
+        np.testing.assert_array_equal(ds.biomarkers[1], [0.0, 0.9])
+        np.testing.assert_array_equal(ds.ipres_mask, [[1], [0]])
+        np.testing.assert_array_equal(ds.tide_mask, [[1], [1]])
+
+    def test_blank_line_is_skipped_and_not_counted(self, tmp_path):
+        rows = [wide_row("s1"), "", wide_row("s2"), "",
+                wide_row("s3").replace(",PD-1,1,", ",PD-1,7,")]
+        path = make_csv(tmp_path, rows, header=WIDE_HEADER)
+        with pytest.raises(SchemaError, match="row 4: response must be 0 or 1"):
+            load_csv(path)
+        path = make_csv(tmp_path, rows[:4], header=WIDE_HEADER)
+        assert load_csv(path).sample_ids == ["s1", "s2"]
+
+    def test_quoted_sample_id_with_comma_loads(self, tmp_path):
+        path = make_csv(tmp_path, [wide_row('"pt 1, visit 2"'),
+                                   wide_row("s2")], header=WIDE_HEADER)
+        ds = load_csv(path)
+        assert ds.sample_ids == ["pt 1, visit 2", "s2"]
+        assert ds.expression.shape == (2, len(WIDE_GENES))
+
+    def test_short_row_is_ragged(self, tmp_path):
+        path = make_csv(tmp_path, [wide_row("s1"), wide_row("s2")[:-4]],
+                        header=WIDE_HEADER)
+        with pytest.raises(SchemaError, match="row 3: ragged row"):
+            load_csv(path)
+
+
+def spelled(value: float, form: int, pad: str) -> str:
+    text = [repr(value), f"{value:.17g}", f"{value:e}", f"{value:+.12E}",
+            f"{value:.6f}"][form]
+    if text.startswith("0."):
+        text = text[1:]          # ".5"
+    return pad + text + pad[::-1]
+
+
+cell_spellings = st.builds(
+    spelled, st.floats(0.0, 1e12, allow_nan=False), st.integers(0, 4),
+    st.sampled_from(["", " ", "  ", "\t", " \t"]))
+
+
+@given(st.lists(st.lists(cell_spellings, min_size=12, max_size=12),
+                min_size=1, max_size=4),
+       st.lists(st.one_of(cell_spellings, st.sampled_from(["", " "])),
+                min_size=2, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_block_conversion_matches_per_cell_oracle(exprs, bm):
+    rows = [wide_row(f"s{i}", expr=expr, bm=bm) for i, expr in enumerate(exprs)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cohort.csv")
+        with open(path, "w") as f:
+            f.write(WIDE_HEADER + "\n" + "\n".join(rows) + "\n")
+        ds = load_csv(path)
+    want = np.stack([per_cell(expr)[0] for expr in exprs])
+    assert ds.expression.tobytes() == want.tobytes()
+    bm_values, bm_mask = per_cell(bm)
+    assert ds.biomarkers.tobytes() == np.tile(bm_values, (len(exprs), 1)).tobytes()
+    assert ds.biomarker_mask.tobytes() == np.tile(bm_mask, (len(exprs), 1)).tobytes()
 
 
 class TestRoundTrip:

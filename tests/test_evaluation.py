@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
+
+import biocompass
 
 from biocompass import diffcore
 from biocompass.data import (SyntheticSpec, generate_synthetic, normalize,
@@ -69,6 +75,23 @@ class TestRocAuc:
             else:
                 assert got == expected  # exact equality, both are pair counts
 
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+    def test_matches_rankdata_auc_exactly(self, tied):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(2, 120))
+            scores = (rng.integers(0, 6, size=n) / 5.0 if tied
+                      else rng.random(size=n))
+            labels = rng.integers(0, 2, size=n)
+            labels[:2] = [0, 1]
+            n_pos = int(labels.sum())
+            u = (stats.rankdata(scores)[labels == 1].sum()
+                 - n_pos * (n_pos + 1) / 2.0)
+            assert roc_auc(scores, labels) == float(u / (n_pos * (n - n_pos)))
+
+    def test_nan_score_gives_nan_like_rankdata(self):
+        assert np.isnan(roc_auc([0.1, np.nan, 0.3], [0, 1, 1]))
+
 
 class TestThresholdMetrics:
     def test_perfect_predictions(self):
@@ -119,6 +142,14 @@ class TestAggregateSeeds:
         mean, lo, hi = aggregate_seeds(vals)
         s = np.std(vals, ddof=1)
         assert hi - mean == pytest.approx(3.1824 * s / 2.0, abs=1e-3)
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_t_value_matches_scipy_stats(self, n):
+        values = np.linspace(0.5, 0.9, n) ** 2
+        mean = float(values.mean())
+        half = (float(stats.t.ppf(0.975, n - 1)) * float(values.std(ddof=1))
+                / float(np.sqrt(n)))
+        assert aggregate_seeds(values) == (mean, mean - half, mean + half)
 
     def test_permutation_invariance(self):
         a = aggregate_seeds([0.5, 0.9, 0.7])
@@ -318,3 +349,14 @@ class TestEmitReport:
                               group_sizes={}, seeds=[])
         with pytest.raises(ValueError, match="empty"):
             emit_report(empty, tmp_path)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """`scipy.stats` costs about 0.6 s to import, on every run's start-up."""
+    src = os.path.dirname(os.path.dirname(biocompass.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, biocompass.cli; "
+         "print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True)
+    assert out.stdout.strip() == "False"
