@@ -204,12 +204,23 @@ def _print_aggregate(report) -> None:
 
 def cmd_ablate(args) -> int:
     cfg = _build_config(args)
+    enabled = [k for k, v in asdict(cfg.ablation_config()).items() if v]
+    if enabled:
+        raise ValueError(
+            "ablate runs every ablation configuration itself and takes no "
+            "disable_* setting: got "
+            + ", ".join(f"{k} (--{k.replace('_', '-')})" for k in enabled))
+    train_cfg = cfg.train_config()
     dataset = cfg.load_dataset()
     reports = run_ablation(
         dataset, cfg.protocol, cfg.seeds,
         model_cfg=cfg.model_config(dataset),
-        weights=cfg.loss_weights(), train_cfg=cfg.train_config(),
+        weights=cfg.loss_weights(), train_cfg=train_cfg,
         weighted=cfg.weighted, jobs=cfg.jobs)
+    if train_cfg.mode == "pft":
+        print("note: no_pathway reports full's runs: under PFT the pathway "
+              "head reads the frozen pooled embedding, so the pathway loss "
+              "trains only pathway.* and cannot change a prediction")
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "ablation.csv"), "w") as f:
         f.write("config,metric,mean,ci_low,ci_high,n\n")

@@ -62,6 +62,15 @@ class Constant(Tensor):
     def accumulate(self, grad: np.ndarray) -> None:
         pass
 
+    @classmethod
+    def prechecked(cls, data: np.ndarray) -> "Constant":
+        """A constant over a float64 array that the caller has already
+        found finite, built without scanning it again."""
+        out = cls.__new__(cls)
+        out.data = data
+        out.grad = None
+        return out
+
 
 class Parameter:
     """A named, optionally trainable tensor with persistent gradient storage."""

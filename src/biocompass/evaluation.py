@@ -12,7 +12,7 @@ from scipy.special import stdtrit
 
 from . import diffcore
 from .data import Dataset, normalize, split_by_group
-from .diffcore import Adam, Tape, zero_grads
+from .diffcore import Adam, Constant, NonFiniteError, Tape, zero_grads
 from .model import Model, ModelConfig, EncoderConfig
 from .objective import BatchTargets, LossWeights, composite_loss
 
@@ -157,7 +157,9 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
 
     With the encoder frozen, pooling is the same at every step, so the
     training rows are pooled once, outside the step tapes, and each step
-    starts from its rows of that table."""
+    starts from its rows of that table. With the encoder trained, the
+    training rows are checked for finiteness once, before the first step,
+    and each step's batch of them enters the tape unscanned."""
     model.set_mode(cfg.mode)
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr)
@@ -166,6 +168,8 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
     pooled = None
     if not model.params["encoder.gene_embedding"].trainable:
         pooled = model.pooled_batch(Tape(), x_norm[train_idx]).data
+    elif not np.isfinite(x_norm)[train_idx].all():
+        raise NonFiniteError("non-finite value in the training rows of x_norm")
     history = []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(train_idx))
@@ -176,7 +180,7 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
             tape = Tape()
             zero_grads(params)
             if pooled is None:
-                out = model.forward(tape, x_norm[batch],
+                out = model.forward(tape, Constant.prechecked(x_norm[batch]),
                                     dataset.treatments[batch])
             else:
                 out = model.head(tape, tape.constant(pooled[pos]),
@@ -292,21 +296,84 @@ def make_model_config(dataset: Dataset, token_dim: int = 16,
 
 
 def _run_fold_seed(dataset: Dataset, fold, fold_id: int, seed: int,
-                   model_cfg: ModelConfig, weights: LossWeights,
-                   train_cfg: TrainConfig) -> FoldSeedResult:
+                   runs: list, train_cfg: TrainConfig) -> list:
+    """One fold x seed task: normalise with the fold's training statistics
+    once, then train each (model config, loss weights) pair of `runs` from
+    a fresh initialisation on those rows and score it on the test rows.
+    Returns one FoldSeedResult per run."""
     x_norm, _ = normalize(dataset, fold.train_idx)
-    model = Model(model_cfg, seed=seed)
-    train_model(model, dataset, fold.train_idx, x_norm, weights, train_cfg, seed)
-    probs = model.predict_proba(x_norm[fold.test_idx],
-                                dataset.treatments[fold.test_idx])
-    metrics = compute_metrics(probs, dataset.response[fold.test_idx],
-                              train_cfg.threshold)
-    return FoldSeedResult(fold_id=fold_id, group=fold.group, seed=seed,
-                          metrics=metrics)
+    results = []
+    for model_cfg, weights in runs:
+        model = Model(model_cfg, seed=seed)
+        train_model(model, dataset, fold.train_idx, x_norm, weights,
+                    train_cfg, seed)
+        probs = model.predict_proba(x_norm[fold.test_idx],
+                                    dataset.treatments[fold.test_idx])
+        metrics = compute_metrics(probs, dataset.response[fold.test_idx],
+                                  train_cfg.threshold)
+        results.append(FoldSeedResult(fold_id=fold_id, group=fold.group,
+                                      seed=seed, metrics=metrics))
+    return results
 
 
 def _run_task(args):
     return _run_fold_seed(*args)
+
+
+def _distinct_runs(ablations, model_cfg: ModelConfig, weights: LossWeights,
+                   mode: str) -> tuple[list, list]:
+    """The (model config, loss weights) pairs to train, and for each
+    ablation the index of the pair whose runs it reports.
+
+    Under PFT the pathway head reads the frozen pooled embedding, so the
+    pathway loss moves only `pathway.*` and cannot change a prediction:
+    configurations that differ only in that weight report the same runs."""
+    runs, keys, index = [], [], []
+    for ab in ablations:
+        run = key = ab.apply(model_cfg, weights)
+        if mode == "pft":
+            key = (run[0], replace(run[1], pathway=0.0))
+        if key not in keys:
+            runs.append(run)
+            keys.append(key)
+        index.append(keys.index(key))
+    return runs, index
+
+
+def _run_configs(dataset: Dataset, protocol: str, seeds, ablations,
+                 model_cfg: ModelConfig | None = None,
+                 weights: LossWeights | None = None,
+                 train_cfg: TrainConfig | None = None,
+                 weighted: bool = False, jobs: int = 1) -> list:
+    """One MetricsReport per ablation, from fold x seed tasks that each
+    normalise once and train every distinct configuration."""
+    if protocol not in PROTOCOL_KEYS:
+        raise ValueError(f"unknown protocol: {protocol!r}")
+    key = PROTOCOL_KEYS[protocol]
+    plan = split_by_group(dataset, key)
+    model_cfg = model_cfg or make_model_config(dataset)
+    weights = weights or LossWeights()
+    train_cfg = train_cfg or TrainConfig()
+    runs, index = _distinct_runs(ablations, model_cfg, weights,
+                                 train_cfg.mode)
+
+    tasks = [(dataset, fold, fold_id, seed, runs, train_cfg)
+             for fold_id, fold in enumerate(plan.folds)
+             for seed in seeds]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_run_task, tasks))
+    else:
+        results = [_run_task(t) for t in tasks]
+    sizes = {fold.group: len(fold.test_idx) for fold in plan.folds}
+    reports = []
+    for i in range(len(runs)):
+        rows = sorted((task[i] for task in results),
+                      key=lambda r: (r.fold_id, r.seed))
+        reports.append(MetricsReport(protocol=protocol, key=key, rows=rows,
+                                     group_sizes=sizes, seeds=list(seeds),
+                                     weighted=weighted))
+    return [reports[i] for i in index]
 
 
 def run_protocol(dataset: Dataset, protocol: str, seeds,
@@ -317,28 +384,11 @@ def run_protocol(dataset: Dataset, protocol: str, seeds,
                  weighted: bool = False, jobs: int = 1) -> MetricsReport:
     """For each fold x seed: fresh model init, training on the fold's training
     rows with training-only normalization statistics, metrics on the test rows."""
-    if protocol not in PROTOCOL_KEYS:
-        raise ValueError(f"unknown protocol: {protocol!r}")
-    key = PROTOCOL_KEYS[protocol]
-    plan = split_by_group(dataset, key)
-    model_cfg = model_cfg or make_model_config(dataset)
-    weights = weights or LossWeights()
-    train_cfg = train_cfg or TrainConfig()
-    if ablation is not None:
-        model_cfg, weights = ablation.apply(model_cfg, weights)
-
-    tasks = [(dataset, fold, fold_id, seed, model_cfg, weights, train_cfg)
-             for fold_id, fold in enumerate(plan.folds)
-             for seed in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_task, tasks))
-    else:
-        results = [_run_task(t) for t in tasks]
-    results.sort(key=lambda r: (r.fold_id, r.seed))
-    sizes = {fold.group: len(fold.test_idx) for fold in plan.folds}
-    return MetricsReport(protocol=protocol, key=key, rows=results,
-                         group_sizes=sizes, seeds=list(seeds), weighted=weighted)
+    [report] = _run_configs(dataset, protocol, seeds,
+                            [ablation or AblationConfig()],
+                            model_cfg=model_cfg, weights=weights,
+                            train_cfg=train_cfg, weighted=weighted, jobs=jobs)
+    return report
 
 
 ABLATION_CONFIGS = {
@@ -351,9 +401,13 @@ ABLATION_CONFIGS = {
 
 
 def run_ablation(dataset: Dataset, protocol: str, seeds, **kwargs) -> dict:
-    """Full model plus the four one-component-off configurations."""
-    return {name: run_protocol(dataset, protocol, seeds, ablation=ab, **kwargs)
-            for name, ab in ABLATION_CONFIGS.items()}
+    """Full model plus the four one-component-off configurations, trained
+    fold by fold on one normalisation per fold x seed; takes
+    `run_protocol`'s keywords except `ablation`. Under PFT `no_pathway`
+    reports `full`'s runs (see `_distinct_runs`)."""
+    reports = _run_configs(dataset, protocol, seeds,
+                           list(ABLATION_CONFIGS.values()), **kwargs)
+    return dict(zip(ABLATION_CONFIGS, reports))
 
 
 # ---- report emission --------------------------------------------------

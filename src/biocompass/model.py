@@ -211,16 +211,18 @@ class Model:
 
     # ---- forward components -----------------------------------------
 
-    def pooled_batch(self, tape: Tape, expression: np.ndarray) -> Tensor:
+    def pooled_batch(self, tape: Tape, expression: np.ndarray | Tensor
+                     ) -> Tensor:
         """Mean of each sample's gene tokens x_g * Emb_g, computed for the
-        whole batch as one matmul: (x @ Emb) / G."""
-        expression = np.atleast_2d(np.asarray(expression, dtype=np.float64))
+        whole batch as one matmul: (x @ Emb) / G. `expression` is an array,
+        or a constant tensor whose values the caller has already checked."""
+        x = (expression if isinstance(expression, Tensor)
+             else tape.constant(np.atleast_2d(expression)))
         enc = self.config.encoder
-        if expression.shape[1] != enc.gene_count:
+        if x.shape[1] != enc.gene_count:
             raise ValueError(
-                f"expression width {expression.shape[1]} != gene count {enc.gene_count}"
+                f"expression width {x.shape[1]} != gene count {enc.gene_count}"
             )
-        x = tape.constant(expression)
         return tape.weighted_sum(
             [tape.matmul(x, self._p("encoder.gene_embedding"))],
             [1.0 / enc.gene_count])
@@ -265,8 +267,8 @@ class Model:
                                     self._p(f"aux.{task}_b"))
         return out
 
-    def forward(self, tape: Tape, expression: np.ndarray, treatments: np.ndarray
-                ) -> ForwardOutputs:
+    def forward(self, tape: Tape, expression: np.ndarray | Tensor,
+                treatments: np.ndarray) -> ForwardOutputs:
         return self.head(tape, self.pooled_batch(tape, expression), treatments)
 
     def head(self, tape: Tape, pooled: Tensor, treatments: np.ndarray

@@ -110,7 +110,7 @@ class TestEval:
 
 
 class TestAblate:
-    def test_five_configs(self, config_path, tmp_path):
+    def test_five_configs(self, config_path, tmp_path, capsys):
         out = tmp_path / "ablate_out"
         assert main(["ablate", "--config", config_path, "--out-dir", str(out),
                      "--seed-list", "0"]) == 0
@@ -121,6 +121,35 @@ class TestAblate:
                            "no_auxiliary"}
         for name in configs:
             assert (out / name / "perfold.csv").exists()
+        assert "no_pathway reports full's runs" in capsys.readouterr().out
+        # under PFT no_pathway's rows are full's
+        assert ((out / "no_pathway" / "perfold.csv").read_bytes()
+                == (out / "full" / "perfold.csv").read_bytes())
+
+    def test_fft_trains_no_pathway(self, config_path, tmp_path, capsys):
+        out = tmp_path / "ablate_fft"
+        assert main(["ablate", "--config", config_path, "--out-dir", str(out),
+                     "--seed-list", "0", "--fft"]) == 0
+        assert "no_pathway reports" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, argv, named", [
+        ("ablation: {disable_gate: true}\n", [], "'ablation': disable_gate"),
+        ("ablation: {disable_pathway: true}\n", [],
+         "disable_pathway (--disable-pathway)"),
+        ("", ["--disable-gating"], "disable_gating (--disable-gating)"),
+        ("", ["--disable-aux", "--disable-alignment"],
+         "disable_aux (--disable-aux), disable_alignment (--disable-alignment)"),
+    ])
+    def test_ablation_section_and_flags_rejected(self, tmp_path, capsys, text,
+                                                 argv, named):
+        cfg = tmp_path / "experiment.yaml"
+        cfg.write_text(SMALL_SYNTH + text)
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", str(cfg), "--out-dir", str(out)]
+                    + argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err, err
+        assert not out.exists()
 
 
 class TestBaselines:

@@ -10,11 +10,12 @@ from scipy import stats
 
 import biocompass
 
-from biocompass import diffcore
+from biocompass import diffcore, evaluation
 from biocompass.data import (SyntheticSpec, generate_synthetic, normalize,
                              split_by_group)
 from biocompass.diffcore import Adam, Tape, zero_grads
-from biocompass.evaluation import (AblationConfig, FoldSeedResult, TrainConfig,
+from biocompass.evaluation import (ABLATION_CONFIGS, AblationConfig,
+                                   FoldSeedResult, TrainConfig,
                                    _targets_slice, aggregate_rows,
                                    aggregate_seeds, compute_metrics,
                                    emit_report, make_model_config,
@@ -22,7 +23,7 @@ from biocompass.evaluation import (AblationConfig, FoldSeedResult, TrainConfig,
                                    run_protocol, threshold_metrics,
                                    train_model, METRIC_NAMES)
 from biocompass.model import Model
-from biocompass.objective import LossWeights, composite_loss
+from biocompass.objective import LossWeights, composite_loss, pathway_loss
 
 
 def brute_force_auc(scores, labels):
@@ -296,6 +297,137 @@ class TestTrainModel:
         assert fast_hist == ref_hist
         for name, p in fast.params.items():
             assert p.data.tobytes() == ref.params[name].data.tobytes(), name
+
+    @pytest.mark.parametrize("mode", ["pft", "fft"])
+    def test_non_finite_training_row_raises_before_any_step(self, fold_inputs,
+                                                             mode):
+        dataset, train_idx, x_norm = fold_inputs
+        cfg = TrainConfig(epochs=1, lr=1e-2, mode=mode)
+        model_cfg = make_model_config(dataset, token_dim=8, gate_hidden=8)
+        # the row that the first epoch (seed 5) visits last: a check made
+        # only when its batch comes up would let earlier batches train
+        perm = np.random.default_rng(5).permutation(len(train_idx))
+        bad = x_norm.copy()
+        bad[train_idx[perm[-1]], 7] = np.inf
+        model = Model(model_cfg, seed=3)
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        with pytest.raises(diffcore.NonFiniteError):
+            train_model(model, dataset, train_idx, bad, LossWeights(), cfg, 5)
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name]), name
+        # a non-finite test row is not a training row
+        bad = x_norm.copy()
+        bad[np.setdiff1d(np.arange(len(dataset)), train_idx)[0], 7] = np.nan
+        train_model(Model(model_cfg, seed=3), dataset, train_idx, bad,
+                    LossWeights(), cfg, 5)
+
+
+def pathway_loss_grads(model, dataset, x_norm, idx, mode) -> dict:
+    """Gradient of the pathway loss alone into each parameter, with the
+    pooled embedding entering the step as `train_model` feeds it."""
+    model.set_mode(mode)
+    tape = Tape()
+    if mode == "pft":
+        pooled = tape.constant(model.pooled_batch(Tape(), x_norm[idx]).data)
+    else:
+        pooled = model.pooled_batch(tape, x_norm[idx])
+    out = model.head(tape, pooled, dataset.treatments[idx])
+    loss = pathway_loss(tape, out.pathway_pred, dataset.pathway[idx],
+                        dataset.pathway_mask[idx])
+    diffcore.backward(loss, tape)
+    return {name: p.grad for name, p in model.params.items()}
+
+
+class TestPathwayUnderPft:
+    """Under PFT the pathway head reads the frozen pooled embedding, so the
+    pathway loss trains only `pathway.*`; `run_ablation` relies on this to
+    report `full`'s runs for `no_pathway`."""
+
+    def test_pathway_loss_moves_only_pathway_params(self, tiny_dataset):
+        fold = split_by_group(tiny_dataset, "cohort").folds[0]
+        x_norm, _ = normalize(tiny_dataset, fold.train_idx)
+        model_cfg = make_model_config(tiny_dataset, token_dim=4, gate_hidden=4)
+        idx = fold.train_idx[:32]
+        grads = pathway_loss_grads(Model(model_cfg, seed=0), tiny_dataset,
+                                   x_norm, idx, "pft")
+        for name, g in grads.items():
+            if name.startswith("pathway."):
+                assert np.any(g != 0.0), name
+            else:
+                assert np.all(g == 0.0), name
+        grads = pathway_loss_grads(Model(model_cfg, seed=0), tiny_dataset,
+                                   x_norm, idx, "fft")
+        assert np.any(grads["encoder.gene_embedding"] != 0.0)
+
+    @pytest.mark.parametrize("mode", ["pft", "fft"])
+    def test_no_pathway_rows_equal_full_only_under_pft(self, tiny_dataset,
+                                                       mode):
+        kwargs = dict(model_cfg=make_model_config(tiny_dataset, token_dim=4,
+                                                  gate_hidden=4),
+                      train_cfg=TrainConfig(epochs=2, lr=1e-2, mode=mode))
+        full = run_protocol(tiny_dataset, "loco", [0], **kwargs)
+        no_pathway = run_protocol(tiny_dataset, "loco", [0],
+                                  ablation=AblationConfig(disable_pathway=True),
+                                  **kwargs)
+        same = ([r.metrics for r in full.rows]
+                == [r.metrics for r in no_pathway.rows])
+        assert same == (mode == "pft")
+
+
+def report_bytes(report, out_dir) -> bytes:
+    emit_report(report, out_dir)
+    return b"".join((out_dir / name).read_bytes()
+                    for name in ("perfold.csv", "aggregate.csv"))
+
+
+class TestRunAblation:
+    @pytest.fixture(scope="class")
+    def kwargs(self, tiny_dataset):
+        return dict(model_cfg=make_model_config(tiny_dataset, token_dim=4,
+                                                gate_hidden=4))
+
+    @pytest.mark.parametrize("mode", ["pft", "fft"])
+    def test_equals_independent_protocol_runs(self, tiny_dataset, kwargs,
+                                              tmp_path, mode):
+        train_cfg = TrainConfig(epochs=2, lr=1e-2, mode=mode)
+        expected = {
+            name: report_bytes(
+                run_protocol(tiny_dataset, "loco", [0, 1], ablation=ab,
+                             train_cfg=train_cfg, **kwargs),
+                tmp_path / "protocol" / name)
+            for name, ab in ABLATION_CONFIGS.items()}
+        for jobs in (1, 2):
+            reports = run_ablation(tiny_dataset, "loco", [0, 1],
+                                   train_cfg=train_cfg, jobs=jobs, **kwargs)
+            assert list(reports) == list(ABLATION_CONFIGS)
+            for name, report in reports.items():
+                got = report_bytes(report, tmp_path / f"jobs{jobs}" / name)
+                assert got == expected[name], (jobs, name)
+
+    @pytest.mark.parametrize("mode, trained", [("pft", 4), ("fft", 5)])
+    def test_normalises_once_and_skips_no_pathway_under_pft(
+            self, tiny_dataset, kwargs, monkeypatch, mode, trained):
+        calls = {"normalize": [], "train_model": []}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name].append(args)
+                return fn(*args, **kw)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evaluation, name,
+                                counted(name, getattr(evaluation, name)))
+        run_ablation(tiny_dataset, "loco", [0, 1],
+                     train_cfg=TrainConfig(epochs=1, mode=mode), **kwargs)
+        tasks = 4 * 2  # folds x seeds
+        assert len(calls["normalize"]) == tasks
+        assert len(calls["train_model"]) == tasks * trained
+        # the configs of a task train on that task's one x_norm
+        x_norms = [args[3] for args in calls["train_model"]]
+        for t in range(tasks):
+            task = x_norms[t * trained:(t + 1) * trained]
+            assert all(x is task[0] for x in task)
 
 
 class TestAggregateRows:
