@@ -1,11 +1,11 @@
 """Biomarker-signature and simple-ML baselines.
 
 Three signature kinds: mean over a gene set, sum of pairwise expression-ratio
-indicators, and the first principal component of a gene set (power iteration).
-Each signature feeds an L2 logistic regression, fitted by scipy's L-BFGS-B on
-the loss and gradient of the differentiation core; there are also plain LR
-baselines on precomputed biomarker columns and on expression (optionally
-PCA-compressed first).
+indicators, and the first principal component of a gene set. Each signature
+feeds an L2 logistic regression, fitted by scipy's L-BFGS-B on the loss and
+gradient of the differentiation core; there are also plain LR baselines on
+precomputed biomarker columns and on expression (optionally PCA-compressed
+first). Principal axes come from one thin SVD of the centred training rows.
 """
 from __future__ import annotations
 
@@ -13,13 +13,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import diffcore
 from .data import Dataset, fit_normalization, apply_normalization, split_by_group
 from .diffcore import Tape, Tensor
 from .evaluation import (FoldSeedResult, MetricsReport, PROTOCOL_KEYS,
                          compute_metrics)
+
+L2 = 1.0              # L2 penalty of every baseline's logistic regression
+PCA_COMPONENTS = 8    # principal axes kept by pca_lr_expression
+MAX_ITERS = 5000      # L-BFGS-B iteration cap of fit_logreg
+GRAD_TOL = 1e-6       # gradient 2-norm at which a fit counts as converged
 
 
 class SignatureError(ValueError):
@@ -92,32 +96,23 @@ def _resolve_genes(dataset: Dataset, sig: SignatureDef, genes) -> list:
     return found
 
 
-def power_iteration_pc1(cov: np.ndarray, seed: int = 0, max_iters: int = 500,
-                        tol: float = 1e-10) -> np.ndarray:
-    """Leading eigenvector of a symmetric PSD matrix by power iteration."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=cov.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(max_iters):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return v
-        w /= norm
-        if np.linalg.norm(w - v) < tol or np.linalg.norm(w + v) < tol:
-            v = w
-            break
-        v = w
-    return v
+def principal_axes(rows: np.ndarray, k: int) -> tuple:
+    """Column means of `rows` and, as the columns of a [G, min(k, n, G)]
+    matrix, its k leading principal axes: the right singular vectors of the
+    centred rows. Each axis is signed so that its first entry is >= 0."""
+    mean = rows.mean(axis=0)
+    _, _, vt = np.linalg.svd(rows - mean, full_matrices=False)
+    axes = vt[:k].T
+    return mean, np.where(axes[0] < 0, -axes, axes)
 
 
 def signature_score(dataset: Dataset, sig: SignatureDef,
                     train_idx: np.ndarray) -> np.ndarray:
-    """One score per sample. Mean and PC1 kinds work on training-standardized
-    log expression; pair-ratio indicators compare log expression directly
-    (z-scoring would break cross-gene comparability)."""
+    """One score per sample. Mean and PC1 kinds work on the signature's genes,
+    log expression standardized on the training rows; pair-ratio indicators
+    compare log expression directly (z-scoring would break cross-gene
+    comparability)."""
     logged = dataset.log_expression
-    stats = fit_normalization(logged, np.asarray(train_idx))
     if sig.kind == "gene_pair_ratio_sum":
         score = np.zeros(len(dataset))
         kept = 0
@@ -132,19 +127,15 @@ def signature_score(dataset: Dataset, sig: SignatureDef,
         if kept == 0:
             raise SignatureError(f"signature {sig.name}: no resolvable pairs")
         return score
-    idx = _resolve_genes(dataset, sig, sig.genes)
-    z = apply_normalization(logged, stats)[:, idx]
+    train = np.asarray(train_idx)
+    genes = logged[:, _resolve_genes(dataset, sig, sig.genes)]
+    z = apply_normalization(genes, fit_normalization(genes, train))
     if sig.kind == "gene_set_mean":
         return z.mean(axis=1)
-    # pc1: leading component of the training-fold covariance, sign fixed to
-    # correlate positively with the first gene in the set
-    train = np.asarray(train_idx)
-    centered = z[train] - z[train].mean(axis=0)
-    cov = centered.T @ centered / max(len(train) - 1, 1)
-    v = power_iteration_pc1(cov)
-    if v[0] < 0:
-        v = -v
-    return z @ v
+    # pc1: leading axis of the training rows, signed to load positively on
+    # the first gene in the set
+    _, axes = principal_axes(z[train], 1)
+    return z @ axes[:, 0]
 
 
 # ---- logistic regression ---------------------------------------------
@@ -163,13 +154,16 @@ class LinearModel:
         return diffcore._stable_sigmoid(x @ self.weights + self.bias)
 
 
-def fit_logreg(features: np.ndarray, labels: np.ndarray, l2: float = 1.0,
-               max_iters: int = 5000, grad_tol: float = 1e-6,
+def fit_logreg(features: np.ndarray, labels: np.ndarray, l2: float = L2,
                seed: int = 0) -> LinearModel:
     """L2-regularized logistic regression on standardized features, minimized
     by L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on the loss and gradient that
-    the differentiation core computes. `converged` means the gradient's
-    2-norm at the returned solution is at most `grad_tol`."""
+    the differentiation core computes, plus the penalty added in numpy.
+    `converged` means the gradient's 2-norm at the returned solution is at
+    most `GRAD_TOL`."""
+    # imported here: scipy.optimize adds about 0.3 s to every CLI start-up
+    from scipy.optimize import minimize
+
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.float64)
     if len(set(labels.tolist())) < 2:
@@ -179,27 +173,27 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray, l2: float = 1.0,
     std = features.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
     x = (features - mean) / std
+    c = 0.5 * l2 / n
 
     def loss_and_grad(theta):
         tape = Tape()
         w, b = Tensor(theta[:d, None]), Tensor(theta[d:])
         logits = tape.linear(tape.constant(x), w, b)
         loss = tape.bce(tape.sigmoid(logits), labels[:, None])
-        if l2 > 0:
-            loss = tape.weighted_sum([loss, tape.sum_squares(w)],
-                                     [1.0, 0.5 * l2 / n])
         diffcore.backward(loss, tape)
-        return float(loss.data), np.concatenate([w.grad[:, 0], b.grad])
+        value = loss.data + np.sum(w.data * w.data) * c
+        grad_w = w.grad[:, 0] + 2.0 * c * theta[:d]
+        return float(value), np.concatenate([grad_w, b.grad])
 
     rng = np.random.default_rng(seed)
     theta0 = np.append(0.01 * rng.normal(size=d), 0.0)
-    # gtol bounds each gradient entry, so the 2-norm is at most grad_tol
+    # gtol bounds each gradient entry, so the 2-norm is at most GRAD_TOL
     res = minimize(loss_and_grad, theta0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iters, "ftol": 0.0,
-                            "gtol": grad_tol / np.sqrt(d + 1)})
+                   options={"maxiter": MAX_ITERS, "ftol": 0.0,
+                            "gtol": GRAD_TOL / np.sqrt(d + 1)})
     return LinearModel(weights=res.x[:d].copy(), bias=float(res.x[d]),
                        feature_mean=mean, feature_std=std,
-                       converged=bool(np.linalg.norm(res.jac) <= grad_tol))
+                       converged=bool(np.linalg.norm(res.jac) <= GRAD_TOL))
 
 
 # ---- baseline runner --------------------------------------------------
@@ -226,25 +220,13 @@ class BaselineResult:
     report: MetricsReport
 
 
-def _pca_features(x: np.ndarray, train_idx: np.ndarray, n_components: int,
-                  seed: int = 0) -> np.ndarray:
-    train = x[train_idx]
-    mean = train.mean(axis=0)
-    centered = train - mean
-    cov = centered.T @ centered / max(len(train_idx) - 1, 1)
-    comps = []
-    for k in range(n_components):
-        v = power_iteration_pc1(cov, seed=seed + k)
-        comps.append(v)
-        lam = float(v @ cov @ v)
-        cov = cov - lam * np.outer(v, v)   # deflation
-    basis = np.stack(comps, axis=1)
-    return (x - mean) @ basis
+def _pca_features(x: np.ndarray, train_idx: np.ndarray) -> np.ndarray:
+    mean, axes = principal_axes(x[train_idx], PCA_COMPONENTS)
+    return (x - mean) @ axes
 
 
 def run_baselines(dataset: Dataset, protocol: str, seeds,
-                  signatures: list | None = None, l2: float = 1.0,
-                  pca_components: int = 8) -> list:
+                  signatures: list | None = None) -> list:
     """Per baseline: fold-wise feature construction (training-fold fitted),
     logistic regression, and the shared metric suite."""
     if protocol not in PROTOCOL_KEYS:
@@ -266,16 +248,14 @@ def run_baselines(dataset: Dataset, protocol: str, seeds,
         rows = []
         for fold_id, fold in enumerate(plan.folds):
             try:
-                feats = _baseline_features(dataset, kind, sig, fold.train_idx,
-                                           pca_components)
+                feats = _baseline_features(dataset, kind, sig, fold.train_idx)
             except SignatureError as exc:
                 warnings.warn(f"{method_name}: {exc}; skipped")
                 break
             for seed in seeds:
                 train_y = dataset.response[fold.train_idx]
                 try:
-                    lm = fit_logreg(feats[fold.train_idx], train_y, l2=l2,
-                                    seed=seed)
+                    lm = fit_logreg(feats[fold.train_idx], train_y, seed=seed)
                 except ValueError as exc:
                     warnings.warn(f"{method_name} fold {fold.group}: {exc}; "
                                   "fold skipped")
@@ -294,15 +274,26 @@ def run_baselines(dataset: Dataset, protocol: str, seeds,
     return results
 
 
-def _baseline_features(dataset: Dataset, kind: str, sig, train_idx,
-                       pca_components: int) -> np.ndarray:
+def _baseline_features(dataset: Dataset, kind: str, sig, train_idx
+                       ) -> np.ndarray:
     if kind == "signature":
         return signature_score(dataset, sig, train_idx)[:, None]
     if kind == "biomarkers":
-        return dataset.biomarkers
+        return _filled_biomarkers(dataset, np.asarray(train_idx))
     logged = dataset.log_expression
     if kind == "expression":
         return logged
     if kind == "pca_expression":
-        return _pca_features(logged, np.asarray(train_idx), pca_components)
+        return _pca_features(logged, np.asarray(train_idx))
     raise ValueError(f"unknown baseline kind: {kind!r}")
+
+
+def _filled_biomarkers(dataset: Dataset, train_idx: np.ndarray) -> np.ndarray:
+    """Biomarker columns with each masked cell set to its column's observed
+    mean over the training rows; a column no training row observes is 0
+    throughout."""
+    seen = dataset.biomarker_mask > 0
+    counts = seen[train_idx].sum(axis=0)
+    fill = (np.where(seen[train_idx], dataset.biomarkers[train_idx], 0.0)
+            .sum(axis=0) / np.maximum(counts, 1))
+    return np.where(seen & (counts > 0), dataset.biomarkers, fill)

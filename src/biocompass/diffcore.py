@@ -212,14 +212,6 @@ class Tape:
 
         return self._push(out, backward)
 
-    def sum_squares(self, x: Tensor) -> Tensor:
-        out = Tensor(np.sum(x.data * x.data), context="sum_squares")
-
-        def backward(grad):
-            x.accumulate(2.0 * grad * x.data)
-
-        return self._push(out, backward)
-
     def mse(self, pred: Tensor, target: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
         """Masked squared error: sum over feature dims, mean over the batch.
 

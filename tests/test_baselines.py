@@ -1,13 +1,15 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from biocompass.baselines import (SignatureDef, SignatureError,
+                                  _baseline_features,
                                   default_signatures, fit_logreg,
-                                  parse_signature_file, power_iteration_pc1,
+                                  parse_signature_file, principal_axes,
                                   run_baselines, signature_score)
-from biocompass.data import SyntheticSpec, generate_synthetic
+from biocompass.data import SyntheticSpec, generate_synthetic, split_by_group
 from biocompass.evaluation import roc_auc
 from test_data import _dataset_from_tpm
 
@@ -113,20 +115,38 @@ class TestSignatureScore:
         assert np.corrcoef(score, logged[:, 0])[0, 1] > 0
 
 
-class TestPowerIteration:
-    def test_matches_dense_eigensolver(self, rng):
-        for _ in range(10):
-            a = rng.normal(size=(6, 6))
-            cov = a @ a.T
-            v = power_iteration_pc1(cov)
-            evals, evecs = np.linalg.eigh(cov)
-            lead = evecs[:, -1]
-            assert abs(float(v @ lead)) >= 0.999  # |cosine| to true PC1
-            assert np.linalg.norm(v) == pytest.approx(1.0)
+class TestPrincipalAxes:
+    @pytest.mark.parametrize("shape", [(300, 40), (40, 300)],
+                             ids=["tall", "wide"])
+    def test_matches_covariance_eigenvectors(self, rng, shape):
+        # distinct variances per column keep the leading eigenvalues apart
+        rows = rng.normal(size=shape) * np.linspace(3.0, 0.5, shape[1])
+        k = 5
+        mean, axes = principal_axes(rows, k)
+        np.testing.assert_allclose(mean, rows.mean(axis=0))
+        assert axes.shape == (shape[1], k)
+        cov = np.cov(rows, rowvar=False)
+        evecs = np.linalg.eigh(cov)[1][:, ::-1]
+        for j in range(k):
+            assert abs(float(axes[:, j] @ evecs[:, j])) >= 1 - 1e-10
+        np.testing.assert_allclose(axes.T @ axes, np.eye(k), atol=1e-12)
+        assert np.all(axes[0] >= 0)  # the sign rule
 
-    def test_zero_matrix_returns_unit_vector(self):
-        v = power_iteration_pc1(np.zeros((4, 4)))
-        assert np.linalg.norm(v) == pytest.approx(1.0)
+    def test_k_beyond_rank_returns_min_of_k_rows_and_genes(self, rng):
+        rows = rng.normal(size=(4, 10))
+        _, axes = principal_axes(rows, 8)
+        assert axes.shape == (10, 4)
+        # 4 centred rows have rank 3: those 3 axes still match the oracle
+        evecs = np.linalg.eigh(np.cov(rows, rowvar=False))[1][:, ::-1]
+        for j in range(3):
+            assert abs(float(axes[:, j] @ evecs[:, j])) >= 1 - 1e-10
+        _, axes = principal_axes(rng.normal(size=(30, 3)), 8)
+        assert axes.shape == (3, 3)
+
+    def test_constant_rows_give_unit_axes(self):
+        mean, axes = principal_axes(np.full((5, 4), 2.0), 2)
+        np.testing.assert_array_equal(mean, np.full(4, 2.0))
+        np.testing.assert_allclose(np.linalg.norm(axes, axis=0), 1.0)
 
 
 class TestFitLogreg:
@@ -215,3 +235,53 @@ class TestRunBaselines:
     def test_unknown_protocol_rejected(self, baseline_dataset):
         with pytest.raises(ValueError, match="protocol"):
             run_baselines(baseline_dataset, "kfold", seeds=[0])
+
+
+class TestBiomarkerFeatures:
+    @staticmethod
+    def _masked(ds, mask, hidden):
+        return replace(ds, biomarkers=np.where(mask > 0, ds.biomarkers, hidden),
+                       biomarker_mask=mask)
+
+    def test_fully_observed_columns_pass_through(self, baseline_dataset):
+        ds = baseline_dataset
+        for fold in split_by_group(ds, "cohort").folds:
+            feats = _baseline_features(ds, "biomarkers", None, fold.train_idx)
+            assert feats.tobytes() == ds.biomarkers.tobytes()
+
+    def test_masked_cells_take_training_mean(self, baseline_dataset):
+        ds = baseline_dataset
+        mask = np.ones_like(ds.biomarkers)
+        mask[::3, 0] = 0.0
+        fold = split_by_group(ds, "cohort").folds[0]
+        train = fold.train_idx
+        # column 1 unobserved on every training row, observed on test rows
+        mask[train, 1] = 0.0
+        feats = _baseline_features(self._masked(ds, mask, 50.0), "biomarkers",
+                                   None, train)
+        observed = train[mask[train, 0] > 0]
+        np.testing.assert_allclose(feats[mask[:, 0] == 0, 0],
+                                   ds.biomarkers[observed, 0].mean())
+        np.testing.assert_array_equal(feats[mask[:, 0] > 0, 0],
+                                      ds.biomarkers[mask[:, 0] > 0, 0])
+        assert np.all(feats[:, 1] == feats[0, 1])
+        np.testing.assert_array_equal(feats[:, 2:], ds.biomarkers[:, 2:])
+
+    def test_value_under_zero_mask_does_not_change_rows(self, baseline_dataset):
+        # load_csv stores 0 under a zero mask; any other stored value must
+        # give the same lr_biomarkers rows
+        ds = baseline_dataset
+        mask = (np.random.default_rng(5).random(ds.biomarkers.shape) >= 0.2
+                ).astype(float)
+        runs = []
+        for hidden in (0.0, 50.0, np.nan):
+            masked = self._masked(ds, mask, hidden)
+            for fold in split_by_group(ds, "cohort").folds:
+                feats = _baseline_features(masked, "biomarkers", None,
+                                           fold.train_idx)
+                assert np.all(np.isfinite(feats))
+            result = [r for r in run_baselines(masked, "loco", [0],
+                                               signatures=[])
+                      if r.method == "lr_biomarkers"][0]
+            runs.append([row.metrics for row in result.report.rows])
+        assert runs[0] == runs[1] == runs[2]
