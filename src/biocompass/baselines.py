@@ -54,32 +54,59 @@ def parse_signature_file(path) -> list:
         kind gene_set_mean | pc1 | gene_pair_ratio_sum
         genes A B C            # or, for pairs:
         pairs A:B C:D
+
+    A malformed line raises ValueError naming the path and line; a block
+    that lacks a field or fails `SignatureDef`'s checks names the line it
+    starts on.
     """
     defs = []
     block: dict = {}
+    start = 0  # the line the current block starts on
 
     def flush():
         if not block:
             return
-        pairs = tuple(tuple(p.split(":")) for p in block.get("pairs", []))
-        defs.append(SignatureDef(name=block["name"], kind=block["kind"],
-                                 genes=tuple(block.get("genes", ())),
-                                 pairs=pairs))
+        where = f"{path}: block at line {start}"
+        for key in ("name", "kind"):
+            if key not in block:
+                raise ValueError(f"{where}: missing {key!r} line")
+        try:
+            defs.append(SignatureDef(name=block["name"], kind=block["kind"],
+                                     genes=tuple(block.get("genes", ())),
+                                     pairs=tuple(block.get("pairs", ()))))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         block.clear()
 
     with open(path) as f:
-        for line in f:
+        for line_no, line in enumerate(f, 1):
             line = line.split("#")[0].strip()
             if not line:
                 flush()
                 continue
+            if not block:
+                start = line_no
             key, *rest = line.split()
+            where = f"{path}: line {line_no}"
+            if key in block:  # e.g. a missing blank line between blocks
+                raise ValueError(f"{where}: second {key!r} line in the "
+                                 f"block at line {start}")
             if key in ("name", "kind"):
+                if len(rest) != 1:
+                    raise ValueError(f"{where}: {key!r} takes one value, "
+                                     f"got {len(rest)}")
                 block[key] = rest[0]
-            elif key in ("genes", "pairs"):
+            elif key == "genes":
                 block[key] = rest
+            elif key == "pairs":
+                pairs = [tuple(p.split(":")) for p in rest]
+                for p, pair in zip(rest, pairs):
+                    if len(pair) != 2 or not all(pair):
+                        raise ValueError(f"{where}: gene pair {p!r} is not "
+                                         f"of the form A:B")
+                block[key] = pairs
             else:
-                raise ValueError(f"{path}: unknown signature field {key!r}")
+                raise ValueError(f"{where}: unknown signature field {key!r}")
     flush()
     return defs
 

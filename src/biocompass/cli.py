@@ -12,7 +12,6 @@ import sys
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
-import yaml
 
 from . import baselines as baselines_mod
 from . import data as data_mod
@@ -50,6 +49,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
+        import yaml  # only --config reads YAML
         with open(path) as f:
             raw = yaml.safe_load(f) or {}
         if not isinstance(raw, dict):
@@ -238,9 +238,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_baselines(args) -> int:
     cfg = _build_config(args)
-    dataset = cfg.load_dataset()
     sigs = (baselines_mod.parse_signature_file(cfg.signatures_file)
             if cfg.signatures_file else None)
+    dataset = cfg.load_dataset()
     results = baselines_mod.run_baselines(dataset, cfg.protocol, cfg.seeds,
                                           signatures=sigs)
     os.makedirs(cfg.out_dir, exist_ok=True)

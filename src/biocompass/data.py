@@ -149,20 +149,23 @@ def normalize(dataset: Dataset, train_idx: np.ndarray
 # ---- CSV ingestion ----------------------------------------------------
 
 
-def _parse_float_block(cells: list, cols: list, row_no: int, path
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Values and presence mask of one row's cells of a numeric block.
+def _parse_float_block(cells: list, cols: list, row_no: int, path,
+                       values: np.ndarray, mask: np.ndarray) -> None:
+    """Write one row's cells of a numeric block into `values` and their
+    presence into `mask`, both rows of preallocated matrices.
 
-    A block of numbers converts in one numpy call, whose str -> float64 cast
-    accepts the strings `float()` accepts and gives the same bits. A block
-    with an empty or non-numeric cell takes the per-cell loop, which marks
-    empty cells missing and names a non-numeric cell's row and column."""
+    A block of numbers converts in one numpy assignment, whose str -> float64
+    cast accepts the strings `float()` accepts and gives the same bits. A
+    block with an empty or non-numeric cell takes the per-cell loop, which
+    marks empty cells missing and names a non-numeric cell's row and column."""
     try:
-        return np.array(cells, dtype=np.float64), np.ones(len(cells))
+        values[:] = cells
+        mask[:] = 1.0
+        return
     except ValueError:
         pass
-    values = np.zeros(len(cols))
-    mask = np.zeros(len(cols))
+    values[:] = 0.0
+    mask[:] = 0.0
     for j, (col, cell) in enumerate(zip(cols, cells)):
         cell = cell.strip()
         if cell == "":
@@ -173,7 +176,6 @@ def _parse_float_block(cells: list, cols: list, row_no: int, path
             raise SchemaError(f"{path}: row {row_no}: column {col!r} "
                               f"is not numeric: {cell!r}")
         mask[j] = 1.0
-    return values, mask
 
 
 def _reject_cells(path, bad: np.ndarray, cols: list, what: str) -> None:
@@ -183,7 +185,25 @@ def _reject_cells(path, bad: np.ndarray, cols: list, what: str) -> None:
         raise SchemaError(f"{path}: row {i + 2}: {what} in column {cols[j]!r}")
 
 
+def _line_breaks(path) -> int:
+    r"""The line breaks of a file: each \n, \r and \r\n counts once (a \r\n
+    split across two reads counts twice). csv ends a record at each, so a
+    CSV has at most this many data rows after its header; blank lines and
+    breaks inside quoted cells make it an overcount."""
+    breaks = 0
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            byte = np.frombuffer(chunk, dtype=np.uint8)
+            lf, cr = byte == ord("\n"), byte == ord("\r")
+            breaks += (np.count_nonzero(lf) + np.count_nonzero(cr)
+                       - np.count_nonzero(cr[:-1] & lf[1:]))
+    return int(breaks)
+
+
 def load_csv(path) -> Dataset:
+    """Each row's numeric blocks are written straight into matrices sized
+    from a first pass that counts line breaks, so loading holds one copy of
+    the expression matrix plus a row's worth of text."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -208,10 +228,14 @@ def load_csv(path) -> Dataset:
         reserved = [position[c] for c in RESERVED_COLUMNS]
         take = {name: [position[c] for c in cols] for name, cols in blocks.items()}
 
+        capacity = _line_breaks(path)
+        expression = np.empty((capacity, len(blocks["expr"])))
+        expr_mask = np.empty(len(blocks["expr"]))  # one row, reused
+        targets = {name: (np.empty((capacity, len(blocks[name]))),
+                          np.empty((capacity, len(blocks[name]))))
+                   for name in ("pw", "bm", "tide", "ipres", "pheno")}
         rows = {k: [] for k in ("sample_id", "cohort_id", "cancer_type",
-                                "treatment", "response", "expr", "pw", "pw_m",
-                                "bm", "bm_m", "tide", "tide_m", "ipres",
-                                "ipres_m", "pheno", "pheno_m")}
+                                "treatment", "multihot", "response")}
         n_cols = len(header)
         sample_rows = {}
         row_no = 1
@@ -241,9 +265,10 @@ def load_csv(path) -> Dataset:
                 raise SchemaError(
                     f"{path}: row {row_no}: duplicate sample_id {sample_id!r} "
                     f"(first in row {sample_rows[sample_id]})")
+            i = len(sample_rows)
             sample_rows[sample_id] = row_no
-            expr, expr_mask = _parse_float_block(
-                [row[j] for j in take["expr"]], blocks["expr"], row_no, path)
+            _parse_float_block([row[j] for j in take["expr"]], blocks["expr"],
+                               row_no, path, expression[i], expr_mask)
             if not expr_mask.all():
                 missing = blocks["expr"][int(np.argmin(expr_mask))]
                 raise SchemaError(
@@ -252,40 +277,44 @@ def load_csv(path) -> Dataset:
             rows["cohort_id"].append(cohort_id.strip())
             rows["cancer_type"].append(cancer_type.strip())
             rows["treatment"].append(treatment.token())
+            rows["multihot"].append(treatment.multihot())
             rows["response"].append(int(resp))
-            rows["expr"].append(expr)
-            for name in ("pw", "bm", "tide", "ipres", "pheno"):
-                vals, mask = _parse_float_block(
-                    [row[j] for j in take[name]], blocks[name], row_no, path)
-                rows[name].append(vals)
-                rows[name + "_m"].append(mask)
+            for name, (values, mask) in targets.items():
+                _parse_float_block([row[j] for j in take[name]], blocks[name],
+                                   row_no, path, values[i], mask[i])
 
-    if not rows["sample_id"]:
+    n = len(sample_rows)
+    if not n:
         raise SchemaError(f"{path}: no data rows")
 
-    expression = np.asarray(rows["expr"])
-    _reject_cells(path, ~np.isfinite(expression), blocks["expr"], "non-finite TPM")
-    _reject_cells(path, expression < 0, blocks["expr"], "negative TPM")
+    # leading rows of the overcounted matrices: views, not copies
+    expression = expression[:n]
+    # a sum and a min scan without a temporary; only a failed scan builds
+    # the cell mask that names the first bad cell (a sum of finite values
+    # can overflow, and then the mask finds none)
+    if not np.isfinite(expression.sum()):
+        _reject_cells(path, ~np.isfinite(expression), blocks["expr"],
+                      "non-finite TPM")
+    if expression.min() < 0:
+        _reject_cells(path, expression < 0, blocks["expr"], "negative TPM")
 
     def block(name):
-        values = np.asarray(rows[name])
+        values, mask = (a[:n] for a in targets[name])
         _reject_cells(path, ~np.isfinite(values), blocks[name], "non-finite value")
-        return values, np.asarray(rows[name + "_m"])
+        return values, mask
 
     pw, pw_m = block("pw")
     bm, bm_m = block("bm")
     tide, tide_m = block("tide")
     ipres, ipres_m = block("ipres")
     pheno, pheno_m = block("pheno")
-    tokens = np.asarray(rows["treatment"], dtype=object)
     return Dataset(
         gene_names=[c[len("expr_"):] for c in blocks["expr"]],
         sample_ids=rows["sample_id"],
         cohort_ids=np.asarray(rows["cohort_id"], dtype=object),
         cancer_types=np.asarray(rows["cancer_type"], dtype=object),
-        treatment_tokens=tokens,
-        treatments=np.stack([TreatmentTarget.from_token(str(t)).multihot()
-                             for t in tokens]),
+        treatment_tokens=np.asarray(rows["treatment"], dtype=object),
+        treatments=np.stack(rows["multihot"]),
         expression=expression,
         response=np.asarray(rows["response"], dtype=np.int64),
         pathway=pw, pathway_mask=pw_m,

@@ -8,7 +8,6 @@ to exactly one forward/backward cycle.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 BCE_EPS = 1e-7
 # sigmoid outputs stay strictly inside (0, 1), even where exp under/overflows
@@ -265,8 +264,12 @@ class Tape:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # expit of a 0-d array is a numpy scalar, so no clipping into out=
-    return np.clip(expit(x), SIGMOID_LO, SIGMOID_HI)
+    # exp(-x) overflows to inf for x < -709.78, where 1 / (1 + inf) = 0 is
+    # the right limit. maximum/minimum give np.clip's values without its
+    # few microseconds of Python overhead, which show on (n, 1) logits
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x))
+    return np.minimum(np.maximum(s, SIGMOID_LO), SIGMOID_HI)
 
 
 def backward(loss: Tensor, tape: Tape) -> None:

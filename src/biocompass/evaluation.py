@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import diffcore
 from .data import Dataset, normalize, split_by_group
@@ -104,6 +102,9 @@ def aggregate_seeds(values) -> tuple[float, float, float]:
     if n == 1:
         warnings.warn("single seed: confidence interval degenerates to the mean")
         return mean, mean, mean
+    # imported here: scipy.special adds about 0.2 s to every start-up, and
+    # one-seed runs never get this far
+    from scipy.special import stdtrit
     s = float(values.std(ddof=1))
     t = float(stdtrit(n - 1, 0.975))  # the 97.5% Student-t quantile
     half = t * s / float(np.sqrt(n))
@@ -361,6 +362,7 @@ def _run_configs(dataset: Dataset, protocol: str, seeds, ablations,
              for fold_id, fold in enumerate(plan.folds)
              for seed in seeds]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_task, tasks))
     else:

@@ -51,8 +51,45 @@ class TestParseSignatureFile:
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("name x\nkind pc1\nweights 1 2 3\n")
-        with pytest.raises(ValueError, match="weights"):
+        with pytest.raises(ValueError, match="line 3: unknown signature "
+                                             "field 'weights'"):
             parse_signature_file(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("name\nkind pc1\ngenes A\n", "line 1: 'name' takes one value, got 0"),
+        ("name x\nkind\ngenes A\n", "line 2: 'kind' takes one value, got 0"),
+        ("name x y\nkind pc1\ngenes A\n",
+         "line 1: 'name' takes one value, got 2"),
+        ("name x\nkind gene_pair_ratio_sum\npairs A:B G3\n",
+         "line 3: gene pair 'G3' is not of the form A:B"),
+        ("name x\nkind gene_pair_ratio_sum\npairs A:B:C\n",
+         "line 3: gene pair 'A:B:C' is not of the form A:B"),
+        ("name x\nkind gene_pair_ratio_sum\npairs A:\n",
+         "line 3: gene pair 'A:' is not of the form A:B"),
+        ("name x\nkind pc1\ngenes A\nname y\nkind pc1\ngenes B\n",
+         "line 4: second 'name' line in the block at line 1"),
+    ])
+    def test_malformed_line_names_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            parse_signature_file(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("block, message", [
+        ("name x\ngenes A B\n", "missing 'kind' line"),
+        ("kind pc1\ngenes A B\n", "missing 'name' line"),
+        ("name x\nkind tsne\ngenes A\n", "unknown signature kind: 'tsne'"),
+        ("name x\nkind pc1\ngenes\n", "signature x: empty gene list"),
+    ])
+    def test_bad_block_names_path_and_first_line(self, tmp_path, block,
+                                                 message):
+        path = tmp_path / "bad.txt"
+        path.write_text("name ok\nkind pc1\ngenes A\n\n# the next one\n\n"
+                        + block)
+        with pytest.raises(ValueError) as exc:
+            parse_signature_file(path)
+        assert str(exc.value) == f"{path}: block at line 7: {message}"
 
 
 class TestSignatureScore:

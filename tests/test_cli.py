@@ -164,6 +164,18 @@ class TestBaselines:
         agg = (out / "baselines_aggregate.csv").read_text().splitlines()
         assert agg[0] == "method,bucket,metric,mean,ci_low,ci_high,n"
 
+    def test_malformed_signature_file_fails(self, tmp_path, capsys):
+        sigs = tmp_path / "sigs.txt"
+        sigs.write_text("name\nkind pc1\ngenes g0 g1\n")
+        config = tmp_path / "experiment.yaml"
+        config.write_text(SMALL_SYNTH + f"signatures_file: {sigs}\n")
+        out = tmp_path / "base_out"
+        assert main(["baselines", "--config", str(config),
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {sigs}: line 1: 'name' takes one value" in err, err
+        assert not out.exists()
+
 
 class TestErrors:
     def test_unknown_config_key_fails(self, tmp_path, capsys):

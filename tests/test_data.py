@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,41 @@ class TestParser:
                         header=WIDE_HEADER)
         with pytest.raises(SchemaError, match="row 3: ragged row"):
             load_csv(path)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_line_endings_load_alike(self, tmp_path, ending):
+        rows = [WIDE_HEADER, wide_row("s1"), wide_row("s2", cohort="c2"),
+                wide_row("s3")]
+        want = load_csv(make_csv(tmp_path, rows[1:], header=rows[0]))
+        path = tmp_path / "endings.csv"
+        path.write_bytes(ending.join(rows).encode())
+        got = load_csv(path)
+        assert got.sample_ids == want.sample_ids
+        assert list(got.cohort_ids) == list(want.cohort_ids)
+        assert got.expression.tobytes() == want.expression.tobytes()
+        assert got.pathway.tobytes() == want.pathway.tobytes()
+
+
+def test_load_peak_memory_is_about_one_expression_matrix(tmp_path):
+    """Rows are parsed straight into the expression matrix: no list of row
+    arrays that a final stack copies, which held two matrices at once."""
+    rng = np.random.default_rng(0)
+    tpm = rng.lognormal(size=(400, 1000))
+    path = tmp_path / "wide.csv"
+    with open(path, "w") as f:
+        f.write("sample_id,cohort_id,cancer_type,treatment,response,"
+                + ",".join(f"expr_g{j}" for j in range(tpm.shape[1])) + "\n")
+        for i, row in enumerate(tpm):
+            f.write(f"s{i},c{i % 4},SKCM,PD-1,{i % 2},"
+                    + ",".join(map(repr, row.tolist())) + "\n")
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.expression.tobytes() == tpm.tobytes()
+    assert peak <= 1.3 * tpm.nbytes, peak / tpm.nbytes
 
 
 def spelled(value: float, form: int, pad: str) -> str:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +91,47 @@ class TestElementwise:
             return tape.sigmoid(x.tensor)
 
         assert analytic_grad(build, x) == pytest.approx(0.25)
+
+    # inputs where exp(-x) is tiny, huge, inf (x < -709.78) or denormal
+    SIGMOID_EDGES = [0.0, -0.0, 30.0, -30.0, 36.8, -36.8, 709.0, -709.0,
+                     710.0, -710.0, 745.0, -745.0, 1000.0, -1000.0]
+
+    def test_sigmoid_is_the_numpy_formula(self):
+        """Bit for bit the formula of the hand-written forward oracle
+        (acceptance criterion 2), clipped strictly inside (0, 1)."""
+        x = np.concatenate([np.linspace(-1000.0, 1000.0, 20001),
+                            self.SIGMOID_EDGES])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = Tape().sigmoid(Tensor(x)).data
+        with np.errstate(over="ignore"):
+            want = np.clip(1.0 / (1.0 + np.exp(-x)),
+                           diffcore.SIGMOID_LO, diffcore.SIGMOID_HI)
+        assert out.tobytes() == want.tobytes()
+        assert out[-1] == diffcore.SIGMOID_LO and out[-2] == diffcore.SIGMOID_HI
+
+    def test_sigmoid_within_four_ulps_of_expit(self):
+        # scipy only here: the library's sigmoid does not need it
+        from scipy.special import expit
+
+        x = np.concatenate([np.linspace(-1000.0, 1000.0, 200001),
+                            np.random.default_rng(0).normal(scale=10.0,
+                                                            size=100000),
+                            self.SIGMOID_EDGES])
+        out = Tape().sigmoid(Tensor(x)).data
+        ref = np.clip(expit(x), diffcore.SIGMOID_LO, diffcore.SIGMOID_HI)
+        # both are positive doubles, so their bit patterns count ulps
+        ulps = np.abs(out.view(np.int64) - ref.view(np.int64))
+        assert ulps.max() <= 4
+        assert ulps[x >= -36.0].max() <= 2
+
+    def test_sigmoid_and_softplus_of_a_0d_input(self):
+        for value in (0.5, -1000.0):
+            x = Tensor(value)
+            s = Tape().sigmoid(x).data
+            assert s.shape == ()
+            assert s == Tape().sigmoid(Tensor([value])).data[0]
+            assert Tape().softplus(x).data.shape == ()
 
     def test_softplus_at_zero(self):
         tape = Tape()

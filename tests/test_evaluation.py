@@ -492,3 +492,39 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+IMPORT_PROBE = """
+import sys, warnings
+import biocompass.cli
+print(*(name in sys.modules
+        for name in ("scipy", "yaml", "concurrent.futures.process")))
+from biocompass.data import SyntheticSpec, generate_synthetic
+from biocompass.evaluation import (TrainConfig, aggregate_seeds, emit_report,
+                                   make_model_config, run_protocol)
+ds = generate_synthetic(SyntheticSpec(
+    n_cohorts=2, samples_per_cohort=(20, 20), n_genes=12, n_latents=2,
+    active_concepts={"PD-1": (0,), "PD-L1": (1,)}))
+warnings.simplefilter("ignore")  # single seed, degenerate intervals
+report = run_protocol(ds, "loco", seeds=[0],
+                      model_cfg=make_model_config(ds, token_dim=4,
+                                                  gate_hidden=4),
+                      train_cfg=TrainConfig(epochs=1))
+emit_report(report, sys.argv[1])
+print("scipy" in sys.modules)
+aggregate_seeds([0.5, 0.75])
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_cli_import_loads_no_scipy_yaml_or_process_pool(tmp_path):
+    """Each is imported by the code that needs it: scipy by baselines and
+    multi-seed intervals, yaml by --config, the process pool by jobs > 1.
+    A one-seed run through its report never loads scipy."""
+    src = os.path.dirname(os.path.dirname(biocompass.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True)
+    assert out.stdout.split("\n")[:3] == ["False False False", "False", "True"]
+    assert (tmp_path / "aggregate.csv").exists()
