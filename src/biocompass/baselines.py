@@ -253,9 +253,12 @@ def _pca_features(x: np.ndarray, train_idx: np.ndarray) -> np.ndarray:
 
 
 def run_baselines(dataset: Dataset, protocol: str, seeds,
-                  signatures: list | None = None) -> list:
+                  signatures: list | None = None,
+                  weighted: bool = False) -> list:
     """Per baseline: fold-wise feature construction (training-fold fitted),
-    logistic regression, and the shared metric suite."""
+    logistic regression, and the shared metric suite; `weighted` as in
+    `run_protocol`. A fold whose training labels hold one class is skipped
+    with a warning."""
     if protocol not in PROTOCOL_KEYS:
         raise ValueError(f"unknown protocol: {protocol!r}")
     plan = split_by_group(dataset, PROTOCOL_KEYS[protocol])
@@ -279,14 +282,13 @@ def run_baselines(dataset: Dataset, protocol: str, seeds,
             except SignatureError as exc:
                 warnings.warn(f"{method_name}: {exc}; skipped")
                 break
+            train_y = dataset.response[fold.train_idx]
+            if len(np.unique(train_y)) < 2:
+                warnings.warn(f"{method_name} fold {fold.group}: training "
+                              "labels hold a single class; fold skipped")
+                continue
             for seed in seeds:
-                train_y = dataset.response[fold.train_idx]
-                try:
-                    lm = fit_logreg(feats[fold.train_idx], train_y, seed=seed)
-                except ValueError as exc:
-                    warnings.warn(f"{method_name} fold {fold.group}: {exc}; "
-                                  "fold skipped")
-                    continue
+                lm = fit_logreg(feats[fold.train_idx], train_y, seed=seed)
                 probs = lm.predict_proba(feats[fold.test_idx])
                 rows.append(FoldSeedResult(
                     fold_id=fold_id, group=fold.group, seed=seed,
@@ -297,7 +299,8 @@ def run_baselines(dataset: Dataset, protocol: str, seeds,
                 method=method_name,
                 report=MetricsReport(protocol=protocol,
                                      key=PROTOCOL_KEYS[protocol], rows=rows,
-                                     group_sizes=sizes, seeds=list(seeds))))
+                                     group_sizes=sizes, seeds=list(seeds),
+                                     weighted=weighted)))
     return results
 
 

@@ -7,6 +7,7 @@ the fallback seed when neither is given.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from dataclasses import dataclass, field, asdict, replace
@@ -18,7 +19,8 @@ from . import data as data_mod
 from . import evaluation as eval_mod
 from .evaluation import (AblationConfig, TrainConfig, make_model_config,
                          run_protocol, run_ablation, emit_report,
-                         train_model, BUCKETS, METRIC_NAMES)
+                         train_model, write_perfold_csv, BUCKETS,
+                         METRIC_NAMES)
 from .model import Model, build_checked
 from .objective import LossWeights
 
@@ -44,6 +46,11 @@ class ExperimentConfig:
                              f"got {self.seeds!r}")
         if not self.seeds:
             raise ValueError("'seeds' must not be empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"'seeds' must be nonnegative, got {self.seeds}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"'seeds' must not repeat a seed, "
+                             f"got {self.seeds}")
         if self.jobs < 1:
             raise ValueError(f"'jobs' must be >= 1, got {self.jobs}")
 
@@ -242,27 +249,26 @@ def cmd_baselines(args) -> int:
             if cfg.signatures_file else None)
     dataset = cfg.load_dataset()
     results = baselines_mod.run_baselines(dataset, cfg.protocol, cfg.seeds,
-                                          signatures=sigs)
+                                          signatures=sigs,
+                                          weighted=cfg.weighted)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "baselines_perfold.csv"), "w") as f:
-        f.write("method,fold_id,group_value,seed,metric,value\n")
-        for res in results:
-            for r in res.report.rows:
-                for metric in METRIC_NAMES:
-                    v = r.metrics.get(metric)
-                    cell = "NA" if v is None else repr(v)
-                    f.write(f"{res.method},{r.fold_id},{r.group},{r.seed},"
-                            f"{metric},{cell}\n")
-    with open(os.path.join(cfg.out_dir, "baselines_aggregate.csv"), "w") as f:
-        f.write("method,bucket,metric,mean,ci_low,ci_high,n\n")
+    write_perfold_csv(os.path.join(cfg.out_dir, "baselines_perfold.csv"),
+                      [((res.method,), res.report) for res in results],
+                      lead_header=("method",))
+    with open(os.path.join(cfg.out_dir, "baselines_aggregate.csv"), "w",
+              newline="") as f:
+        # csv quotes a method (signature) name with a comma
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["method", "bucket", "metric", "mean", "ci_low",
+                         "ci_high", "n"])
         for res in results:
             agg = res.report.aggregates()
             for bucket in BUCKETS:
                 for metric in METRIC_NAMES:
                     if metric in agg.get(bucket, {}):
                         mean, lo, hi, n = agg[bucket][metric]
-                        f.write(f"{res.method},{bucket},{metric},{mean!r},"
-                                f"{lo!r},{hi!r},{n}\n")
+                        writer.writerow([res.method, bucket, metric,
+                                         repr(mean), repr(lo), repr(hi), n])
             print(f"--- {res.method} ---")
             _print_aggregate(res.report)
     return 0

@@ -5,7 +5,9 @@ CSV layout (one row per sample): reserved columns
 `sample_id, cohort_id, cancer_type, treatment, response`, expression columns
 `expr_<gene>`, pathway columns `pw_1..pw_42`, biomarker columns `bm_*`, and
 auxiliary target columns `tide_*, ipres_*, pheno_*`. Empty cells mark missing
-values; missingness is tracked in masks, never zero-filled.
+values; missingness is tracked in masks, never zero-filled. A file without
+`pw_` columns loads all 42 pathway scores as missing, so every dataset has
+every target block.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import N_PATHWAYS, TreatmentTarget
+from .model import AUX_TASKS, N_PATHWAYS, TreatmentTarget
 
 RESERVED_COLUMNS = ("sample_id", "cohort_id", "cancer_type", "treatment", "response")
 
@@ -200,13 +202,27 @@ def _line_breaks(path) -> int:
     return int(breaks)
 
 
+def _records(path, f):
+    """The CSV records of `f` with their row numbers, the header's being 1.
+    Blank lines are skipped and not counted. A record that csv cannot parse
+    (a cell over its field size limit, say) is a SchemaError naming its row."""
+    row_no = 0
+    try:
+        for row in csv.reader(f):
+            if row:
+                row_no += 1
+                yield row_no, row
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: row {row_no + 1}: {exc}") from None
+
+
 def load_csv(path) -> Dataset:
     """Each row's numeric blocks are written straight into matrices sized
     from a first pass that counts line breaks, so loading holds one copy of
     the expression matrix plus a row's worth of text."""
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
+        records = _records(path, f)
+        _, header = next(records, (1, None))
         if header is None:
             raise SchemaError(f"{path}: empty file, header row required")
         position = {}
@@ -218,7 +234,7 @@ def load_csv(path) -> Dataset:
             if col not in position:
                 raise SchemaError(f"{path}: missing reserved column {col!r}")
         blocks = {name: [c for c in header if c.startswith(name + "_")]
-                  for name in ("expr", "pw", "bm", "tide", "ipres", "pheno")}
+                  for name in ("expr", "pw", "bm", *AUX_TASKS)}
         if not blocks["expr"]:
             raise SchemaError(f"{path}: no expr_ columns found")
         if blocks["pw"] and len(blocks["pw"]) != N_PATHWAYS:
@@ -233,16 +249,12 @@ def load_csv(path) -> Dataset:
         expr_mask = np.empty(len(blocks["expr"]))  # one row, reused
         targets = {name: (np.empty((capacity, len(blocks[name]))),
                           np.empty((capacity, len(blocks[name]))))
-                   for name in ("pw", "bm", "tide", "ipres", "pheno")}
+                   for name in ("pw", "bm", *AUX_TASKS)}
         rows = {k: [] for k in ("sample_id", "cohort_id", "cancer_type",
                                 "treatment", "multihot", "response")}
         n_cols = len(header)
         sample_rows = {}
-        row_no = 1
-        for row in reader:
-            if not row:  # a blank line: skipped, and not counted as a row
-                continue
-            row_no += 1
+        for row_no, row in records:
             if len(row) != n_cols:
                 raise SchemaError(f"{path}: row {row_no}: ragged row "
                                   f"(expected {n_cols} cells)")
@@ -304,6 +316,8 @@ def load_csv(path) -> Dataset:
         return values, mask
 
     pw, pw_m = block("pw")
+    if not blocks["pw"]:  # an absent pathway block is all missing
+        pw, pw_m = np.zeros((n, N_PATHWAYS)), np.zeros((n, N_PATHWAYS))
     bm, bm_m = block("bm")
     tide, tide_m = block("tide")
     ipres, ipres_m = block("ipres")
@@ -442,7 +456,7 @@ def generate_synthetic_with_truth(spec: SyntheticSpec
                           + 0.3 * rng.normal(0.0, 1.0, size=(n, N_PATHWAYS)))
         cols["bm"].append(z @ biomarker_map
                           + 0.3 * rng.normal(0.0, 1.0, size=(n, spec.biomarker_dim)))
-        for task in ("tide", "ipres", "pheno"):
+        for task in AUX_TASKS:
             cols[task].append(z @ aux_maps[task]
                               + 0.3 * rng.normal(0.0, 1.0,
                                                  size=(n, aux_maps[task].shape[1])))

@@ -2,6 +2,7 @@
 confidence intervals, the ablation runner, and report emission."""
 from __future__ import annotations
 
+import csv
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -11,7 +12,7 @@ import numpy as np
 from . import diffcore
 from .data import Dataset, normalize, split_by_group
 from .diffcore import Adam, Constant, NonFiniteError, Tape, zero_grads
-from .model import Model, ModelConfig, EncoderConfig
+from .model import AUX_TASKS, Model, ModelConfig, EncoderConfig
 from .objective import BatchTargets, LossWeights, composite_loss
 
 METRIC_NAMES = ("accuracy", "roc_auc", "f1", "precision", "recall")
@@ -143,10 +144,9 @@ def _targets_slice(dataset: Dataset, idx: np.ndarray) -> BatchTargets:
         pathway_mask=dataset.pathway_mask[idx],
         biomarkers=dataset.biomarkers[idx],
         biomarker_mask=dataset.biomarker_mask[idx],
-        aux={"tide": dataset.tide[idx], "ipres": dataset.ipres[idx],
-             "pheno": dataset.pheno[idx]},
-        aux_masks={"tide": dataset.tide_mask[idx], "ipres": dataset.ipres_mask[idx],
-                   "pheno": dataset.pheno_mask[idx]},
+        aux={task: getattr(dataset, task)[idx] for task in AUX_TASKS},
+        aux_masks={task: getattr(dataset, f"{task}_mask")[idx]
+                   for task in AUX_TASKS},
     )
 
 
@@ -415,17 +415,29 @@ def run_ablation(dataset: Dataset, protocol: str, seeds, **kwargs) -> dict:
 # ---- report emission --------------------------------------------------
 
 
+PERFOLD_HEADER = ["fold_id", "group_value", "seed", "metric", "value"]
+
+
+def write_perfold_csv(path, reports, lead_header=()) -> None:
+    """One record per row x metric of each (lead cells, MetricsReport) pair
+    of `reports`, under `lead_header` + PERFOLD_HEADER. csv quotes a cell
+    that needs it, such as a group name with a comma; an NA metric is "NA"."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow([*lead_header, *PERFOLD_HEADER])
+        for lead, report in reports:
+            for r in report.rows:
+                for metric in METRIC_NAMES:
+                    v = r.metrics.get(metric)
+                    writer.writerow([*lead, r.fold_id, r.group, r.seed, metric,
+                                     "NA" if v is None else repr(v)])
+
+
 def emit_report(report: MetricsReport, out_dir) -> None:
     if not report.rows:
         raise ValueError("cannot emit an empty report")
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "perfold.csv"), "w") as f:
-        f.write("fold_id,group_value,seed,metric,value\n")
-        for r in report.rows:
-            for metric in METRIC_NAMES:
-                v = r.metrics.get(metric)
-                cell = "NA" if v is None else repr(v)
-                f.write(f"{r.fold_id},{r.group},{r.seed},{metric},{cell}\n")
+    write_perfold_csv(os.path.join(out_dir, "perfold.csv"), [((), report)])
     with open(os.path.join(out_dir, "aggregate.csv"), "w") as f:
         f.write("bucket,metric,mean,ci_low,ci_high,n\n")
         agg = report.aggregates()
@@ -462,7 +474,8 @@ def _write_metric_svg(report: MetricsReport, metric: str, path) -> None:
                 if r.group == group and r.metrics.get(metric) is not None]
         x = left + plot_w * (gi + 0.5) / len(groups)
         lines.append(f'<text x="{x:.1f}" y="{height - bottom + 16}" '
-                     f'font-size="10" text-anchor="middle">{group}</text>')
+                     f'font-size="10" text-anchor="middle">{_xml_text(group)}'
+                     f'</text>')
         if not vals:
             lines.append(f'<text x="{x:.1f}" y="{top + plot_h / 2:.1f}" '
                          f'font-size="10" text-anchor="middle">NA</text>')
@@ -485,15 +498,20 @@ def _write_metric_svg(report: MetricsReport, metric: str, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _xml_text(text: str) -> str:
+    """`text` with the characters XML reserves in element content escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def read_perfold_csv(path) -> list:
     """Re-ingest an emitted per-fold CSV into FoldSeedResult rows."""
     rows = {}
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        if header != ["fold_id", "group_value", "seed", "metric", "value"]:
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header != PERFOLD_HEADER:
             raise ValueError(f"unexpected perfold header: {header}")
-        for line in f:
-            fold_id, group, seed, metric, value = line.strip().split(",")
+        for fold_id, group, seed, metric, value in reader:
             key = (int(fold_id), group, int(seed))
             rows.setdefault(key, {})[metric] = (
                 None if value == "NA" else float(value))

@@ -19,6 +19,7 @@ from .diffcore import Parameter, Tape, Tensor
 
 N_CONCEPTS = 44
 N_PATHWAYS = 42
+AUX_TASKS = ("tide", "ipres", "pheno")   # auxiliary decoder heads, in order
 
 BASE_TARGETS = ("PD-1", "PD-L1", "CTLA-4")
 
@@ -179,8 +180,8 @@ class Model:
         self._add("align.w", _uniform_init(rng, N_CONCEPTS,
                                            (N_CONCEPTS, config.biomarker_dim)))
 
-        for task, dim in (("tide", config.tide_dim), ("ipres", config.ipres_dim),
-                          ("pheno", config.pheno_dim)):
+        for task in AUX_TASKS:
+            dim = getattr(config, f"{task}_dim")
             self._add(f"aux.{task}_w", _uniform_init(rng, N_CONCEPTS, (N_CONCEPTS, dim)))
             self._add(f"aux.{task}_b", np.zeros(dim))
 
@@ -262,7 +263,7 @@ class Model:
 
     def predict_aux(self, tape: Tape, concepts: Tensor) -> dict:
         out = {}
-        for task in ("tide", "ipres", "pheno"):
+        for task in AUX_TASKS:
             out[task] = tape.linear(concepts, self._p(f"aux.{task}_w"),
                                     self._p(f"aux.{task}_b"))
         return out

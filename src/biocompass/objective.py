@@ -1,7 +1,8 @@
 """The four training loss terms and their weighted composite.
 
-Classification (BCE) is always on; the pathway-consistency, concept-alignment
-and auxiliary regression terms can each be disabled exactly by setting their
+Classification (BCE) is always on. The pathway-consistency, concept-alignment
+and auxiliary regression terms are masked `tape.mse` records of a head's
+output against its target block; each can be disabled exactly by setting its
 weight to zero, which also keeps gradients out of the corresponding head.
 """
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffcore import Tape, Tensor
-from .model import ForwardOutputs
+from .model import AUX_TASKS, ForwardOutputs
 
 
 @dataclass
@@ -40,91 +41,53 @@ class LossBreakdown:
     total: float
 
     def as_dict(self) -> dict:
-        return {
-            "cls": self.cls, "pathway": self.pathway, "align": self.align,
-            "aux_tide": self.aux_tide, "aux_ipres": self.aux_ipres,
-            "aux_pheno": self.aux_pheno, "total": self.total,
-        }
+        return dict(vars(self))
 
 
 @dataclass
 class BatchTargets:
-    """Per-batch supervision; any target group may be missing (mask of zeros)."""
-    response: np.ndarray                 # [B] in {0,1}
-    pathway: np.ndarray | None = None    # [B, 42]
-    pathway_mask: np.ndarray | None = None
-    biomarkers: np.ndarray | None = None  # [B, d_b]
-    biomarker_mask: np.ndarray | None = None
-    aux: dict | None = None              # task -> [B, d_k]
-    aux_masks: dict | None = None
-
-
-def pathway_loss(tape: Tape, pred: Tensor, target: np.ndarray,
-                 mask: np.ndarray | None = None) -> Tensor:
-    """Squared error between predicted and external pathway scores,
-    summed over the 42 features and averaged over the batch."""
-    return tape.mse(pred, target, mask)
-
-
-def alignment_loss(tape: Tape, projection: Tensor, biomarkers: np.ndarray,
-                   mask: np.ndarray | None = None) -> Tensor:
-    """Distance between projected concepts and biomarker scores, divided by
-    the batch size so folds of different sizes are comparable."""
-    return tape.mse(projection, biomarkers, mask)
-
-
-def auxiliary_loss(tape: Tape, preds: dict, targets: dict, masks: dict
-                   ) -> tuple[dict, Tensor]:
-    """Per-task masked squared error plus the summed total."""
-    per_task = {}
-    for task in ("tide", "ipres", "pheno"):
-        if task not in targets or targets[task] is None:
-            continue
-        per_task[task] = tape.mse(preds[task], targets[task], masks.get(task))
-    if not per_task:
-        return per_task, tape.constant(0.0)
-    terms = list(per_task.values())
-    return per_task, tape.weighted_sum(terms, [1.0] * len(terms))
+    """Per-batch supervision. Every block is present; a missing value has
+    mask 0, and a block the dataset has no columns for is 0 wide."""
+    response: np.ndarray        # [B] in {0,1}
+    pathway: np.ndarray         # [B, 42]
+    pathway_mask: np.ndarray
+    biomarkers: np.ndarray      # [B, d_b]
+    biomarker_mask: np.ndarray
+    aux: dict                   # task -> [B, d_k], one entry per AUX_TASKS
+    aux_masks: dict
 
 
 def composite_loss(tape: Tape, outputs: ForwardOutputs, targets: BatchTargets,
                    weights: LossWeights) -> tuple[Tensor, LossBreakdown]:
     """Weighted sum of the enabled terms; returns the tape node and a
     float breakdown. Terms with weight zero are skipped entirely so their
-    heads receive no gradient."""
+    heads receive no gradient; the auxiliary term is the unweighted sum of
+    its per-task errors."""
     # the classifier emits a [B, 1] column
     cls = tape.bce(outputs.prob, targets.response[:, None])
+    records = {"cls": cls}   # breakdown name -> tape record
     terms, term_weights = [cls], [weights.cls]
-
-    pathway_val = 0.0
-    if weights.pathway > 0 and targets.pathway is not None:
-        pw = pathway_loss(tape, outputs.pathway_pred, targets.pathway,
-                          targets.pathway_mask)
-        pathway_val = float(pw.data)
-        terms.append(pw)
+    if weights.pathway > 0:
+        records["pathway"] = tape.mse(outputs.pathway_pred, targets.pathway,
+                                      targets.pathway_mask)
+        terms.append(records["pathway"])
         term_weights.append(weights.pathway)
-
-    align_val = 0.0
-    if weights.align > 0 and targets.biomarkers is not None:
-        al = alignment_loss(tape, outputs.projection, targets.biomarkers,
-                            targets.biomarker_mask)
-        align_val = float(al.data)
-        terms.append(al)
+    if weights.align > 0:
+        records["align"] = tape.mse(outputs.projection, targets.biomarkers,
+                                    targets.biomarker_mask)
+        terms.append(records["align"])
         term_weights.append(weights.align)
-
-    aux_vals = {"tide": 0.0, "ipres": 0.0, "pheno": 0.0}
-    if weights.aux > 0 and targets.aux:
-        per_task, aux_sum = auxiliary_loss(
-            tape, outputs.aux, targets.aux, targets.aux_masks or {})
-        for task, term in per_task.items():
-            aux_vals[task] = float(term.data)
-        terms.append(aux_sum)
+    if weights.aux > 0:
+        per_task = [tape.mse(outputs.aux[task], targets.aux[task],
+                             targets.aux_masks[task]) for task in AUX_TASKS]
+        records.update(zip([f"aux_{task}" for task in AUX_TASKS], per_task))
+        terms.append(tape.weighted_sum(per_task, [1.0] * len(per_task)))
         term_weights.append(weights.aux)
-
     total = tape.weighted_sum(terms, term_weights)
 
-    breakdown = LossBreakdown(
-        cls=float(cls.data), pathway=pathway_val, align=align_val,
-        aux_tide=aux_vals["tide"], aux_ipres=aux_vals["ipres"],
-        aux_pheno=aux_vals["pheno"], total=float(total.data))
-    return total, breakdown
+    def value(name):
+        return float(records[name].data) if name in records else 0.0
+    return total, LossBreakdown(
+        cls=value("cls"), pathway=value("pathway"), align=value("align"),
+        aux_tide=value("aux_tide"), aux_ipres=value("aux_ipres"),
+        aux_pheno=value("aux_pheno"), total=float(total.data))

@@ -273,6 +273,49 @@ class TestRunBaselines:
         with pytest.raises(ValueError, match="protocol"):
             run_baselines(baseline_dataset, "kfold", seeds=[0])
 
+    def test_weighted_aggregate_is_size_weighted_fold_mean(self):
+        ds = generate_synthetic(SyntheticSpec(
+            n_cohorts=3, samples_per_cohort=(20, 30, 50), n_genes=12,
+            n_latents=4, seed=11,
+            active_concepts={"PD-1": (0,), "PD-L1": (1,), "CTLA-4": (2,),
+                             "CTLA-4+PD-1": (3,)}))
+        plain = run_baselines(ds, "loco", seeds=[0])
+        weighted = run_baselines(ds, "loco", seeds=[0], weighted=True)
+        for p, w in zip(plain, weighted):
+            assert [r.metrics for r in p.report.rows] == \
+                [r.metrics for r in w.report.rows]
+            sizes = w.report.group_sizes
+            acc = [r.metrics["accuracy"] for r in w.report.rows]
+            n = [sizes[r.group] for r in w.report.rows]
+            hand = sum(a * k for a, k in zip(acc, n)) / sum(n)
+            got = w.report.aggregates()["all"]["accuracy"][0]
+            assert got == pytest.approx(hand, rel=1e-12), w.method
+            assert p.report.aggregates()["all"]["accuracy"][0] == \
+                pytest.approx(sum(acc) / len(acc), rel=1e-12)
+        assert sorted(sizes.values()) == [20, 30, 50]
+
+    def test_seed_error_surfaces(self, baseline_dataset):
+        with pytest.raises(ValueError):
+            run_baselines(baseline_dataset, "loco", seeds=[-1])
+
+    def test_single_class_training_fold_skipped_with_warning(
+            self, baseline_dataset):
+        # cohort_01 all responders, the rest all non-responders: only the
+        # fold that tests cohort_01 trains on a single class
+        ds = replace(baseline_dataset, response=np.where(
+            baseline_dataset.cohort_ids == "cohort_01", 1, 0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = run_baselines(ds, "loco", seeds=[0, 1])
+        skipped = {str(w.message) for w in caught
+                   if "fold skipped" in str(w.message)}
+        assert all("cohort_01: training labels hold a single class" in m
+                   for m in skipped) and skipped
+        for r in results:
+            assert {row.group for row in r.report.rows} == {"cohort_02",
+                                                            "cohort_03"}
+            assert len(r.report.rows) == 2 * 2
+
 
 class TestBiomarkerFeatures:
     @staticmethod

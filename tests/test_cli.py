@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -164,6 +165,21 @@ class TestBaselines:
         agg = (out / "baselines_aggregate.csv").read_text().splitlines()
         assert agg[0] == "method,bucket,metric,mean,ci_low,ci_high,n"
 
+    def test_signature_name_with_comma_is_quoted(self, tmp_path):
+        sigs = tmp_path / "sigs.txt"
+        sigs.write_text("name a,b\nkind gene_set_mean\ngenes g0001 g0002\n")
+        config = tmp_path / "experiment.yaml"
+        config.write_text(SMALL_SYNTH + f"signatures_file: {sigs}\n")
+        out = tmp_path / "base_out"
+        assert main(["baselines", "--config", str(config),
+                     "--out-dir", str(out), "--seed-list", "0"]) == 0
+        for name, width in (("baselines_perfold.csv", 6),
+                            ("baselines_aggregate.csv", 7)):
+            with open(out / name, newline="") as f:
+                rows = list(csv.reader(f))
+            assert {len(r) for r in rows} == {width}, name
+            assert rows[1][0] == "sig_a,b", name
+
     def test_malformed_signature_file_fails(self, tmp_path, capsys):
         sigs = tmp_path / "sigs.txt"
         sigs.write_text("name\nkind pc1\ngenes g0 g1\n")
@@ -213,6 +229,8 @@ class TestErrors:
             ("train: {mode: xft}\n", "'train': mode must be 'pft' or 'fft'"),
             ("jobs: 0\n", "'jobs' must be >= 1, got 0"),
             ("seeds: []\n", "'seeds' must not be empty"),
+            ("seeds: [1, -2]\n", "'seeds' must be nonnegative"),
+            ("seeds: [3, 1, 3]\n", "'seeds' must not repeat a seed"),
         ]:
             bad = tmp_path / "bad.yaml"
             bad.write_text(text)
@@ -246,3 +264,67 @@ class TestErrors:
         # with a config file present the config seeds win; just confirm the
         # no-config path ran and produced the default synthetic dataset
         assert (out / "synthetic.csv").exists()
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("command", ["eval", "baselines"])
+    @pytest.mark.parametrize("seeds, named", [
+        ("-1", "'seeds' must be nonnegative, got [-1]"),
+        ("0,0", "'seeds' must not repeat a seed, got [0, 0]"),
+    ])
+    def test_bad_seed_list_fails_before_any_work(
+            self, config_path, tmp_path, capsys, command, seeds, named):
+        out = tmp_path / "out"
+        assert main([command, "--config", config_path, "--out-dir", str(out),
+                     f"--seed-list={seeds}"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {named}" in err, err
+        assert not out.exists()
+
+    def test_negative_env_seed_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BIOCOMPASS_SEED", "-3")
+        out = tmp_path / "out"
+        assert main(["synth", "--out-dir", str(out)]) == 1
+        assert ("error: 'seeds' must be nonnegative, got [-3]"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestCsvInput:
+    @staticmethod
+    def _synth_csv(config_path, tmp_path):
+        main(["synth", "--config", config_path, "--out-dir",
+              str(tmp_path / "synth")])
+        return (tmp_path / "synth" / "synthetic.csv").read_text().splitlines()
+
+    def test_missing_pathway_block_evaluates_like_empty_pw_columns(
+            self, config_path, tmp_path):
+        lines = self._synth_csv(config_path, tmp_path)
+        header = lines[0].split(",")
+        pw = [j for j, c in enumerate(header) if c.startswith("pw_")]
+        assert len(pw) == 42
+        rows = [line.split(",") for line in lines]
+        dropped = [[c for j, c in enumerate(r) if j not in pw] for r in rows]
+        blank = rows[:1] + [["" if j in pw else c for j, c in enumerate(r)]
+                            for r in rows[1:]]
+        for name, table in (("blank", blank), ("dropped", dropped)):
+            (tmp_path / f"{name}.csv").write_text(
+                "".join(",".join(r) + "\n" for r in table))
+            assert main(["eval", "--config", config_path, "--dataset",
+                         str(tmp_path / f"{name}.csv"), "--out-dir",
+                         str(tmp_path / name)]) == 0
+        for name in ("perfold.csv", "aggregate.csv"):
+            assert ((tmp_path / "blank" / name).read_bytes()
+                    == (tmp_path / "dropped" / name).read_bytes()), name
+
+    def test_oversized_cell_fails_with_error(self, config_path, tmp_path,
+                                             capsys):
+        lines = self._synth_csv(config_path, tmp_path)
+        cells = lines[2].split(",")
+        cells[0] = "s" * 200000
+        lines[2] = ",".join(cells)
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["schema", "--dataset", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: row 3: field larger than field limit" in err

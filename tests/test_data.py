@@ -76,7 +76,9 @@ class TestLoadCsv:
                 "s2,c1,SKCM,PD-1,0,2.0,1.0,"]
         path = make_csv(tmp_path, rows, header=header)
         ds = load_csv(path)
-        assert ds.pathway.shape == (2, 0)
+        # an absent pathway block loads as 42 all-missing columns
+        assert ds.pathway.shape == ds.pathway_mask.shape == (2, 42)
+        assert not ds.pathway.any() and not ds.pathway_mask.any()
         assert ds.biomarker_mask[0, 0] == 1.0
         assert ds.biomarker_mask[1, 0] == 0.0  # empty cell -> missing, not 0
 

@@ -23,7 +23,7 @@ from biocompass.evaluation import (ABLATION_CONFIGS, AblationConfig,
                                    run_protocol, threshold_metrics,
                                    train_model, METRIC_NAMES)
 from biocompass.model import Model
-from biocompass.objective import LossWeights, composite_loss, pathway_loss
+from biocompass.objective import LossWeights, composite_loss
 
 
 def brute_force_auc(scores, labels):
@@ -322,9 +322,10 @@ class TestTrainModel:
                     LossWeights(), cfg, 5)
 
 
-def pathway_loss_grads(model, dataset, x_norm, idx, mode) -> dict:
-    """Gradient of the pathway loss alone into each parameter, with the
-    pooled embedding entering the step as `train_model` feeds it."""
+def pathway_mse_grads(model, dataset, x_norm, idx, mode) -> dict:
+    """Gradient of the pathway term alone (the masked `tape.mse` that
+    `composite_loss` records) into each parameter, with the pooled
+    embedding entering the step as `train_model` feeds it."""
     model.set_mode(mode)
     tape = Tape()
     if mode == "pft":
@@ -332,8 +333,8 @@ def pathway_loss_grads(model, dataset, x_norm, idx, mode) -> dict:
     else:
         pooled = model.pooled_batch(tape, x_norm[idx])
     out = model.head(tape, pooled, dataset.treatments[idx])
-    loss = pathway_loss(tape, out.pathway_pred, dataset.pathway[idx],
-                        dataset.pathway_mask[idx])
+    loss = tape.mse(out.pathway_pred, dataset.pathway[idx],
+                    dataset.pathway_mask[idx])
     diffcore.backward(loss, tape)
     return {name: p.grad for name, p in model.params.items()}
 
@@ -348,14 +349,14 @@ class TestPathwayUnderPft:
         x_norm, _ = normalize(tiny_dataset, fold.train_idx)
         model_cfg = make_model_config(tiny_dataset, token_dim=4, gate_hidden=4)
         idx = fold.train_idx[:32]
-        grads = pathway_loss_grads(Model(model_cfg, seed=0), tiny_dataset,
+        grads = pathway_mse_grads(Model(model_cfg, seed=0), tiny_dataset,
                                    x_norm, idx, "pft")
         for name, g in grads.items():
             if name.startswith("pathway."):
                 assert np.any(g != 0.0), name
             else:
                 assert np.all(g == 0.0), name
-        grads = pathway_loss_grads(Model(model_cfg, seed=0), tiny_dataset,
+        grads = pathway_mse_grads(Model(model_cfg, seed=0), tiny_dataset,
                                    x_norm, idx, "fft")
         assert np.any(grads["encoder.gene_embedding"] != 0.0)
 
@@ -474,6 +475,38 @@ class TestEmitReport:
         for name in ("perfold.csv", "aggregate.csv", "roc_auc.svg"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    @staticmethod
+    def _awkward_report():
+        """Group names as a quoted CSV cell can bring them in."""
+        from biocompass.evaluation import MetricsReport
+        groups = ["A,<b>&", 'say "hi"', "plain"]
+        rows = [FoldSeedResult(i, g, seed, {"accuracy": 0.25 * (i + seed),
+                                            "roc_auc": None if i == 1 else 0.5,
+                                            "f1": 0.1, "precision": 0.2,
+                                            "recall": 0.3})
+                for i, g in enumerate(groups) for seed in (0, 1)]
+        return MetricsReport(protocol="loco", key="cohort", rows=rows,
+                             group_sizes={g: 10 for g in groups}, seeds=[0, 1])
+
+    def test_awkward_group_names_round_trip(self, tmp_path):
+        report = self._awkward_report()
+        emit_report(report, tmp_path)
+        back = read_perfold_csv(tmp_path / "perfold.csv")
+        assert [(r.fold_id, r.group, r.seed, r.metrics) for r in back] == \
+            [(r.fold_id, r.group, r.seed, r.metrics) for r in report.rows]
+        lines = (tmp_path / "perfold.csv").read_text().splitlines()
+        assert lines[1] == '0,"A,<b>&",0,accuracy,0.0'
+        assert lines[-1] == "2,plain,1,recall,0.3"
+
+    def test_awkward_group_names_give_well_formed_svg(self, tmp_path):
+        import xml.etree.ElementTree as ET
+        emit_report(self._awkward_report(), tmp_path)
+        for metric in METRIC_NAMES:
+            root = ET.parse(tmp_path / f"{metric}.svg").getroot()
+            labels = {t.text for t in
+                      root.iter("{http://www.w3.org/2000/svg}text")}
+            assert {"A,<b>&", 'say "hi"', "plain"} <= labels, metric
 
     def test_empty_report_rejected(self, tiny_report, tmp_path):
         from biocompass.evaluation import MetricsReport

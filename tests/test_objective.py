@@ -4,8 +4,7 @@ import pytest
 from biocompass import diffcore
 from biocompass.diffcore import Tape, backward, zero_grads
 from biocompass.model import Model, N_CONCEPTS
-from biocompass.objective import (BatchTargets, LossWeights, alignment_loss,
-                                  auxiliary_loss, composite_loss, pathway_loss)
+from biocompass.objective import BatchTargets, LossWeights, composite_loss
 from conftest import composite_scalar, random_batch, tiny_model_config
 
 
@@ -19,86 +18,92 @@ class TestLossWeights:
             LossWeights(cls=0.0)
 
 
+def breakdown_for(rng, edit, weights=LossWeights(1.0, 1.0, 1.0, 1.0)):
+    """`composite_loss`'s breakdown on a random batch whose targets `edit`
+    has set from the forward outputs."""
+    model = Model(tiny_model_config(), seed=0)
+    x, treatments, targets = random_batch(rng)
+    tape = Tape()
+    out = model.forward(tape, x, treatments)
+    edit(out, targets)
+    return composite_loss(tape, out, targets, weights)[1]
+
+
 class TestPathwayLoss:
     def test_identical_targets_zero(self, rng):
-        tape = Tape()
-        p = rng.normal(size=(3, 42))
-        assert float(pathway_loss(tape, tape.constant(p), p).data) == 0.0
+        def edit(out, t):
+            t.pathway = out.pathway_pred.data.copy()
+        assert breakdown_for(rng, edit).pathway == 0.0
 
     def test_single_sample_hand_value(self):
         tape = Tape()
         pred = np.zeros((1, 42))
         target = np.zeros((1, 42))
         target[0, :2] = [1.0, 2.0]
-        loss = pathway_loss(tape, tape.constant(pred), target)
+        loss = tape.mse(tape.constant(pred), target, np.ones((1, 42)))
         assert float(loss.data) == pytest.approx(5.0)
 
     def test_fully_masked_batch_zero(self, rng):
-        tape = Tape()
-        loss = pathway_loss(tape, tape.constant(rng.normal(size=(2, 42))),
-                            rng.normal(size=(2, 42)), np.zeros((2, 42)))
-        assert float(loss.data) == 0.0
+        def edit(out, t):
+            t.pathway_mask = np.zeros_like(t.pathway_mask)
+        assert breakdown_for(rng, edit).pathway == 0.0
 
 
 class TestAlignmentLoss:
     def test_matching_projection_zero(self, rng):
-        tape = Tape()
-        b = rng.normal(size=(3, 2))
-        assert float(alignment_loss(tape, tape.constant(b), b).data) == 0.0
+        def edit(out, t):
+            t.biomarkers = out.projection.data.copy()
+        assert breakdown_for(rng, edit).align == 0.0
 
-    def test_single_sample_hand_value(self):
-        tape = Tape()
-        loss = alignment_loss(tape, tape.constant([[1.0, -1.0]]),
-                              np.zeros((1, 2)))
-        assert float(loss.data) == pytest.approx(2.0)
+    def test_single_sample_hand_value(self, rng):
+        def edit(out, t):
+            t.biomarkers = out.projection.data + np.array([1.0, -1.0])
+            t.biomarker_mask = np.zeros_like(t.biomarker_mask)
+            t.biomarker_mask[0] = 1.0
+        # one supervised sample of the batch of 3: (1 + 1) / 3
+        assert breakdown_for(rng, edit).align == pytest.approx(2.0 / 3.0)
 
     def test_batch_mean_invariance_under_row_duplication(self, rng):
         proj = rng.normal(size=(3, 2))
         target = rng.normal(size=(3, 2))
         tape = Tape()
-        single = float(alignment_loss(tape, tape.constant(proj), target).data)
-        doubled = float(alignment_loss(
-            tape, tape.constant(np.vstack([proj, proj])),
-            np.vstack([target, target])).data)
+        single = float(tape.mse(tape.constant(proj), target).data)
+        doubled = float(tape.mse(tape.constant(np.vstack([proj, proj])),
+                                 np.vstack([target, target])).data)
         assert doubled == pytest.approx(single)
 
     def test_dim_mismatch_rejected(self, rng):
-        tape = Tape()
+        def edit(out, t):
+            t.biomarkers = np.zeros((3, 3))
+            t.biomarker_mask = np.ones((3, 3))
         with pytest.raises(ValueError, match="shape"):
-            alignment_loss(tape, tape.constant(np.zeros((2, 3))),
-                           np.zeros((2, 2)))
+            breakdown_for(rng, edit)
 
 
 class TestAuxiliaryLoss:
     def test_all_matched_zero(self, rng):
-        tape = Tape()
-        t = {k: rng.normal(size=(2, 2)) for k in ("tide", "ipres", "pheno")}
-        preds = {k: tape.constant(v) for k, v in t.items()}
-        per_task, total = auxiliary_loss(tape, preds, t, {})
-        assert float(total.data) == 0.0
-        assert all(float(v.data) == 0.0 for v in per_task.values())
+        def edit(out, t):
+            t.aux = {k: v.data.copy() for k, v in out.aux.items()}
+        b = breakdown_for(rng, edit)
+        assert (b.aux_tide, b.aux_ipres, b.aux_pheno) == (0.0, 0.0, 0.0)
 
-    def test_single_task_off_by_one(self):
-        tape = Tape()
-        preds = {"tide": tape.constant([[1.0]]), "ipres": tape.constant([[0.0]]),
-                 "pheno": tape.constant([[0.0]])}
-        targets = {"tide": np.array([[0.0]]), "ipres": np.array([[0.0]]),
-                   "pheno": np.array([[0.0]])}
-        per_task, total = auxiliary_loss(tape, preds, targets, {})
-        assert float(per_task["tide"].data) == pytest.approx(1.0)
-        assert float(total.data) == pytest.approx(1.0)
+    def test_single_task_off_by_one(self, rng):
+        def edit(out, t):
+            t.aux = {k: v.data.copy() for k, v in out.aux.items()}
+            t.aux["tide"] += 1.0
+        weights = LossWeights(cls=1.0, pathway=0.0, align=0.0, aux=0.5)
+        b = breakdown_for(rng, edit, weights)
+        assert b.aux_tide == pytest.approx(1.0)
+        assert (b.aux_ipres, b.aux_pheno) == (0.0, 0.0)
+        assert b.total == pytest.approx(b.cls + 0.5)
 
     def test_fully_missing_task_contributes_zero(self, rng):
-        tape = Tape()
-        preds = {k: tape.constant(rng.normal(size=(2, 1)))
-                 for k in ("tide", "ipres", "pheno")}
-        targets = {k: rng.normal(size=(2, 1)) for k in ("tide", "ipres", "pheno")}
-        masks = {"tide": np.zeros((2, 1)), "ipres": np.ones((2, 1)),
-                 "pheno": np.ones((2, 1))}
-        per_task, total = auxiliary_loss(tape, preds, targets, masks)
-        assert float(per_task["tide"].data) == 0.0
-        assert float(total.data) == pytest.approx(
-            float(per_task["ipres"].data) + float(per_task["pheno"].data))
+        def edit(out, t):
+            t.aux_masks["tide"] = np.zeros_like(t.aux_masks["tide"])
+        weights = LossWeights(cls=1.0, pathway=0.0, align=0.0, aux=1.0)
+        b = breakdown_for(rng, edit, weights)
+        assert b.aux_tide == 0.0
+        assert b.total == pytest.approx(b.cls + b.aux_ipres + b.aux_pheno)
 
 
 class TestCompositeLoss:
