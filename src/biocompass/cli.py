@@ -101,6 +101,14 @@ def _synth_kwargs(d: dict) -> dict:
     return d
 
 
+def _seed(token: str, source: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{source}: seed {token!r} is not an integer"
+                         ) from None
+
+
 def _build_config(args) -> ExperimentConfig:
     """The config file (or the defaults) with the flags applied on top; the
     result is rebuilt with `replace`, so a flag value passes the same checks
@@ -119,9 +127,11 @@ def _build_config(args) -> ExperimentConfig:
     if getattr(args, "weighted", False):
         flags["weighted"] = True
     if getattr(args, "seed_list", None):
-        flags["seeds"] = [int(s) for s in args.seed_list.split(",")]
+        flags["seeds"] = [_seed(s, "--seed-list")
+                          for s in args.seed_list.split(",")]
     elif not args.config and os.environ.get("BIOCOMPASS_SEED"):
-        flags["seeds"] = [int(os.environ["BIOCOMPASS_SEED"])]
+        flags["seeds"] = [_seed(os.environ["BIOCOMPASS_SEED"],
+                                "BIOCOMPASS_SEED")]
     if getattr(args, "mode", None):
         cfg.train["mode"] = args.mode
     for flag in ("gating", "pathway", "aux", "alignment"):

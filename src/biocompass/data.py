@@ -125,9 +125,14 @@ def fit_normalization(logged: np.ndarray, train_idx: np.ndarray) -> Normalizatio
     """Per-gene mean and std of log2(TPM+1) values over the training rows."""
     if len(train_idx) == 0:
         raise ValueError("normalization needs a nonempty training set")
+    # np.mean's and np.std's own steps, done in place on the one gathered
+    # copy of the training rows, so the bits are theirs
     train = logged[train_idx]
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
+    n = len(train)
+    mean = np.add.reduce(train, axis=0) / n
+    train -= mean
+    train *= train
+    std = np.sqrt(np.add.reduce(train, axis=0) / n)
     std = np.where(std == 0.0, 1.0, std)
     return NormalizationStats(mean=mean, std=std)
 

@@ -281,6 +281,25 @@ class TestSeeds:
         assert f"error: {named}" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "baselines"])
+    def test_non_integer_seed_list_names_flag_and_token(
+            self, config_path, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--config", config_path, "--out-dir", str(out),
+                     "--seed-list", "0,a"]) == 1
+        err = capsys.readouterr().err
+        assert "error: --seed-list: seed 'a' is not an integer" in err, err
+        assert not out.exists()
+
+    def test_non_integer_env_seed_names_variable_and_token(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BIOCOMPASS_SEED", "x")
+        out = tmp_path / "out"
+        assert main(["synth", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: BIOCOMPASS_SEED: seed 'x' is not an integer" in err, err
+        assert not out.exists()
+
     def test_negative_env_seed_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIOCOMPASS_SEED", "-3")
         out = tmp_path / "out"

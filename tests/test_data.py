@@ -385,6 +385,25 @@ class TestNormalize:
         assert x.tobytes() == ((np.log2(tpm + 1.0) - stats.mean)
                                / stats.std).tobytes()
 
+    @pytest.mark.parametrize("case", ["shuffled", "duplicated", "single_row",
+                                      "boolean_mask", "constant_column"])
+    def test_statistics_are_the_bytes_of_mean_and_std(self, rng, case):
+        logged = np.log2(rng.uniform(0, 100, size=(40, 7)) + 1.0)
+        idx = {"shuffled": rng.permutation(40)[:25],
+               "duplicated": np.array([3, 3, 8, 0, 8, 8, 21]),
+               "single_row": np.array([17]),
+               "boolean_mask": rng.random(40) < 0.6,
+               "constant_column": np.arange(30)}[case]
+        if case == "constant_column":
+            logged[:, 2] = logged[0, 2]
+        before = logged.tobytes()
+        stats = fit_normalization(logged, idx)
+        train = logged[idx]
+        std = train.std(axis=0)
+        assert stats.mean.tobytes() == train.mean(axis=0).tobytes()
+        assert stats.std.tobytes() == np.where(std == 0.0, 1.0, std).tobytes()
+        assert logged.tobytes() == before  # the input is left alone
+
     def test_empty_training_set_rejected(self, rng):
         ds = _dataset_from_tpm(rng.uniform(0, 10, size=(4, 3)))
         with pytest.raises(ValueError, match="nonempty"):

@@ -387,6 +387,101 @@ class TestOptimizers:
                 assert p.data.tobytes() == ref[n].tobytes(), (n, t)
         assert params[2].data.tobytes() == frozen_before
 
+    @staticmethod
+    def _textbook(ref, m, v, g, t, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+        """One per-parameter Adam update of `ref`, `m` and `v` in place."""
+        m[:] = b1 * m + (1.0 - b1) * g
+        v[:] = b2 * v + (1.0 - b2) * g * g
+        ref -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+
+    def test_blocked_step_matches_per_parameter_adam(self):
+        # four parameters over a bit more than three blocks, so block
+        # boundaries fall inside parameters; "w" gets its gradient from
+        # backward (written straight into the optimizer's vector), "a" one
+        # assigned from outside, "skip" none on even steps
+        block = diffcore.ADAM_BLOCK
+        rng = np.random.default_rng(11)
+        shapes = {"w": (block // 2 + 3, 2), "a": (block + 5,),
+                  "skip": (block // 3, 3), "tail": (7,)}
+        params = [Parameter(n, rng.normal(size=s)) for n, s in shapes.items()]
+        assert sum(p.data.size for p in params) > 3 * block
+        ref = {p.name: p.data.copy() for p in params}
+        m = {n: np.zeros_like(x) for n, x in ref.items()}
+        v = {n: np.zeros_like(x) for n, x in ref.items()}
+        opt = Adam(params, lr=0.01)
+        for t in range(1, 6):
+            zero_grads(params)
+            tape = Tape()
+            terms = [tape.mse(tape.mul(p.tensor, tape.constant(
+                rng.normal(size=p.data.shape))), rng.normal(size=p.data.shape))
+                for p in params if p.name != "a"
+                and (p.name != "skip" or t % 2)]
+            backward(tape.weighted_sum(terms, [1.0] * len(terms)), tape)
+            params[1].tensor.grad = rng.normal(size=shapes["a"])
+            grads = {p.name: p.grad.copy() for p in params}
+            opt.step()
+            for p in params:
+                self._textbook(ref[p.name], m[p.name], v[p.name],
+                               grads[p.name], t)
+                assert p.data.tobytes() == ref[p.name].tobytes(), (p.name, t)
+
+    def test_non_finite_in_last_block_changes_nothing(self):
+        block = diffcore.ADAM_BLOCK
+        rng = np.random.default_rng(12)
+        head = Parameter("head", rng.normal(size=(2 * block + 9,)))
+        tail = Parameter("gating.tail", rng.normal(size=(4, 5)))
+        opt = Adam([head, tail], lr=0.01)
+        for bad in (False, True):
+            zero_grads([head, tail])
+            tape = Tape()
+            backward(tape.weighted_sum(
+                [tape.mse(head.tensor, np.zeros(head.data.shape)),
+                 tape.mse(tape.sigmoid(tail.tensor), np.ones((4, 5)))],
+                [1.0, 1.0]), tape)
+            if bad:
+                tail.grad[3, 4] = np.inf
+                before = [x.tobytes() for x in (head.data, tail.data,
+                                                opt._m, opt._v)]
+                with pytest.raises(NonFiniteError, match="gating.tail"):
+                    opt.step()
+                assert [x.tobytes() for x in (head.data, tail.data,
+                                              opt._m, opt._v)] == before
+                assert opt.t == 1
+            else:
+                opt.step()
+
+    def test_gradient_never_leaks_into_next_step(self):
+        # step 1 gives both parameters a gradient, step 2 only "b", and
+        # step 3 assigns "a" one from outside: each step must see exactly
+        # that step's gradients
+        rng = np.random.default_rng(13)
+        a = Parameter("a", rng.normal(size=(3, 4)))
+        b = Parameter("b", rng.normal(size=(4,)))
+        ref = {"a": a.data.copy(), "b": b.data.copy()}
+        m = {n: np.zeros_like(x) for n, x in ref.items()}
+        v = {n: np.zeros_like(x) for n, x in ref.items()}
+        opt = Adam([a, b], lr=0.01)
+        for t, on_tape in enumerate([(a, b), (b,), ()], start=1):
+            zero_grads([a, b])
+            assert not a.grad.any() and not b.grad.any()
+            if on_tape:
+                tape = Tape()
+                backward(tape.weighted_sum(
+                    [tape.mse(p.tensor, np.ones(p.data.shape))
+                     for p in on_tape], [1.0] * len(on_tape)), tape)
+                for p in on_tape:
+                    # backward wrote into the optimizer's own storage
+                    assert p.tensor.grad is p.tensor.store
+            else:
+                a.tensor.grad = np.full((3, 4), 0.5)
+            grads = {"a": a.grad.copy(), "b": b.grad.copy()}
+            assert (t != 2) == bool(grads["a"].any())
+            opt.step()
+            for p in (a, b):
+                self._textbook(ref[p.name], m[p.name], v[p.name],
+                               grads[p.name], t)
+                assert p.data.tobytes() == ref[p.name].tobytes(), (p.name, t)
+
     def test_determinism_bit_identical_runs(self):
         def run():
             rng = np.random.default_rng(7)
