@@ -237,7 +237,8 @@ def cmd_ablate(args) -> int:
     if train_cfg.mode == "pft":
         print("note: no_pathway reports full's runs: under PFT the pathway "
               "head reads the frozen pooled embedding, so the pathway loss "
-              "trains only pathway.* and cannot change a prediction")
+              "trains only pathway.* and cannot change a prediction; every "
+              "configuration trains without it")
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "ablation.csv"), "w") as f:
         f.write("config,metric,mean,ci_low,ci_high,n\n")

@@ -12,7 +12,7 @@ import numpy as np
 from . import diffcore
 from .data import Dataset, normalize, split_by_group
 from .diffcore import Adam, Constant, NonFiniteError, Tape, zero_grads
-from .model import AUX_TASKS, Model, ModelConfig, EncoderConfig
+from .model import AUX_TASKS, SIDE_HEADS, Model, ModelConfig, EncoderConfig
 from .objective import BatchTargets, LossWeights, composite_loss
 
 METRIC_NAMES = ("accuracy", "roc_auc", "f1", "precision", "recall")
@@ -156,13 +156,20 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
     """Minibatch training on one fold's training rows; returns per-epoch
     mean loss breakdowns.
 
-    With the encoder frozen, pooling is the same at every step, so the
-    training rows are pooled once, outside the step tapes, and each step
-    starts from its rows of that table. With the encoder trained, the
+    A step records the concepts, the gate (when gating is on), the
+    classifier and only the side heads whose loss weight is > 0. Adam
+    trains the parameters that such a step reaches
+    (`Model.reached_parameters`), and the encoder only under FFT: every
+    other parameter keeps its initial value. Each epoch gathers its
+    permuted targets and treatments once, and each step takes its rows as
+    slices of them. With the encoder frozen, pooling is the same at every
+    step, so the training rows are pooled once, outside the step tapes,
+    and each epoch permutes that table. With the encoder trained, the
     training rows are checked for finiteness once, before the first step,
     and each step's batch of them enters the tape unscanned."""
     model.set_mode(cfg.mode)
-    params = model.parameters()
+    heads = tuple(h for h in SIDE_HEADS if getattr(weights, h) > 0)
+    params = model.reached_parameters(heads)
     opt = Adam(params, lr=cfg.lr)
     rng = np.random.default_rng(seed)
     train_idx = np.asarray(train_idx)
@@ -174,20 +181,25 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
     history = []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(train_idx))
+        order = train_idx[perm]
+        targets = _targets_slice(dataset, order)
+        treatments = dataset.treatments[order]
+        if pooled is not None:
+            pooled_rows = pooled[perm]
         sums, n_batches = {}, 0
         for start in range(0, len(perm), cfg.batch_size):
-            pos = perm[start:start + cfg.batch_size]
-            batch = train_idx[pos]
+            rows = slice(start, start + cfg.batch_size)
             tape = Tape()
             zero_grads(params)
             if pooled is None:
-                out = model.forward(tape, Constant.prechecked(x_norm[batch]),
-                                    dataset.treatments[batch])
+                out = model.forward(tape,
+                                    Constant.prechecked(x_norm[order[rows]]),
+                                    treatments[rows], heads)
             else:
-                out = model.head(tape, tape.constant(pooled[pos]),
-                                 dataset.treatments[batch])
-            total, breakdown = composite_loss(
-                tape, out, _targets_slice(dataset, batch), weights)
+                out = model.head(tape, tape.constant(pooled_rows[rows]),
+                                 treatments[rows], heads)
+            total, breakdown = composite_loss(tape, out, targets.rows(rows),
+                                              weights)
             diffcore.backward(total, tape)
             opt.step()
             for k, v in breakdown.as_dict().items():
@@ -317,8 +329,18 @@ def _run_fold_seed(dataset: Dataset, fold, fold_id: int, seed: int,
     return results
 
 
+# the dataset of a --jobs worker process, set once by `_init_worker`
+_WORKER_DATASET = None
+
+
+def _init_worker(dataset: Dataset) -> None:
+    global _WORKER_DATASET
+    _WORKER_DATASET = dataset
+
+
 def _run_task(args):
-    return _run_fold_seed(*args)
+    """One fold x seed task in a --jobs worker, on the worker's dataset."""
+    return _run_fold_seed(_WORKER_DATASET, *args)
 
 
 def _distinct_runs(ablations, model_cfg: ModelConfig, weights: LossWeights,
@@ -328,17 +350,18 @@ def _distinct_runs(ablations, model_cfg: ModelConfig, weights: LossWeights,
 
     Under PFT the pathway head reads the frozen pooled embedding, so the
     pathway loss moves only `pathway.*` and cannot change a prediction:
-    configurations that differ only in that weight report the same runs."""
+    each configuration trains with pathway weight 0, which skips that head
+    and its loss, and configurations that differ only in that weight
+    report the same runs."""
     runs, keys, index = [], [], []
     for ab in ablations:
-        run = key = ab.apply(model_cfg, weights)
+        key = ab.apply(model_cfg, weights)
         if mode == "pft":
-            key = (run[0], replace(run[1], pathway=0.0))
+            key = (key[0], replace(key[1], pathway=0.0))
         if key not in keys:
-            runs.append(run)
             keys.append(key)
         index.append(keys.index(key))
-    return runs, index
+    return keys, index
 
 
 def _run_configs(dataset: Dataset, protocol: str, seeds, ablations,
@@ -358,15 +381,17 @@ def _run_configs(dataset: Dataset, protocol: str, seeds, ablations,
     runs, index = _distinct_runs(ablations, model_cfg, weights,
                                  train_cfg.mode)
 
-    tasks = [(dataset, fold, fold_id, seed, runs, train_cfg)
+    tasks = [(fold, fold_id, seed, runs, train_cfg)
              for fold_id, fold in enumerate(plan.folds)
              for seed in seeds]
     if jobs > 1:
+        # each worker receives the dataset once, not once per task
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(dataset,)) as pool:
             results = list(pool.map(_run_task, tasks))
     else:
-        results = [_run_task(t) for t in tasks]
+        results = [_run_fold_seed(dataset, *t) for t in tasks]
     sizes = {fold.group: len(fold.test_idx) for fold in plan.folds}
     reports = []
     for i in range(len(runs)):
@@ -385,7 +410,8 @@ def run_protocol(dataset: Dataset, protocol: str, seeds,
                  ablation: AblationConfig | None = None,
                  weighted: bool = False, jobs: int = 1) -> MetricsReport:
     """For each fold x seed: fresh model init, training on the fold's training
-    rows with training-only normalization statistics, metrics on the test rows."""
+    rows with training-only normalization statistics, metrics on the test rows.
+    Under PFT the training leaves out the pathway term (see `_distinct_runs`)."""
     [report] = _run_configs(dataset, protocol, seeds,
                             [ablation or AblationConfig()],
                             model_cfg=model_cfg, weights=weights,
@@ -405,8 +431,9 @@ ABLATION_CONFIGS = {
 def run_ablation(dataset: Dataset, protocol: str, seeds, **kwargs) -> dict:
     """Full model plus the four one-component-off configurations, trained
     fold by fold on one normalisation per fold x seed; takes
-    `run_protocol`'s keywords except `ablation`. Under PFT `no_pathway`
-    reports `full`'s runs (see `_distinct_runs`)."""
+    `run_protocol`'s keywords except `ablation`. Under PFT every
+    configuration trains without the pathway term and `no_pathway` reports
+    `full`'s runs (see `_distinct_runs`)."""
     reports = _run_configs(dataset, protocol, seeds,
                            list(ABLATION_CONFIGS.values()), **kwargs)
     return dict(zip(ABLATION_CONFIGS, reports))

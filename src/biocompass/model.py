@@ -20,6 +20,8 @@ from .diffcore import Parameter, Tape, Tensor
 N_CONCEPTS = 44
 N_PATHWAYS = 42
 AUX_TASKS = ("tide", "ipres", "pheno")   # auxiliary decoder heads, in order
+# the side heads, each named like its loss weight and its parameters' prefix
+SIDE_HEADS = ("pathway", "align", "aux")
 
 BASE_TARGETS = ("PD-1", "PD-L1", "CTLA-4")
 
@@ -129,14 +131,15 @@ def _value_types(hint) -> tuple:
 
 @dataclass
 class ForwardOutputs:
-    pooled: Tensor            # [B, d_e] mean token embedding per sample
-    concepts_raw: Tensor      # [B, 44] pre-gate
-    gates: Tensor | None      # [B, 44] in (0,1); None when gating disabled
-    concepts_gated: Tensor    # [B, 44]; == concepts_raw when gating disabled
-    pathway_pred: Tensor      # [B, 42]
-    projection: Tensor        # [B, d_b]
-    aux: dict                 # task name -> Tensor
-    prob: Tensor              # [B, 1] response probability
+    """A side head that was not asked for is None."""
+    pooled: Tensor                # [B, d_e] mean token embedding per sample
+    concepts_raw: Tensor          # [B, 44] pre-gate
+    gates: Tensor | None          # [B, 44] in (0,1); None when gating disabled
+    concepts_gated: Tensor        # [B, 44]; == concepts_raw when gating disabled
+    pathway_pred: Tensor | None   # [B, 42]
+    projection: Tensor | None     # [B, d_b]
+    aux: dict | None              # task name -> Tensor
+    prob: Tensor                  # [B, 1] response probability
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -199,8 +202,18 @@ class Model:
     def encoder_parameters(self):
         return [p for n, p in self.params.items() if n.startswith("encoder.")]
 
+    def reached_parameters(self, heads=SIDE_HEADS):
+        """The parameters that a loss over the classifier and the side
+        heads in `heads` can send a gradient to: without `gating.*` when
+        gating is off, and without the parameters of the other side heads."""
+        skipped = set(SIDE_HEADS) - set(heads)
+        if not self.config.gating_enabled:
+            skipped.add("gating")
+        return [p for n, p in self.params.items()
+                if n.split(".", 1)[0] not in skipped]
+
     def set_mode(self, mode: str) -> None:
-        """"pft" freezes the encoder; "fft" trains everything."""
+        """"pft" freezes the encoder; "fft" makes it trainable."""
         if mode not in ("pft", "fft"):
             raise ValueError(f"unknown training mode: {mode!r}")
         frozen = mode == "pft"
@@ -269,12 +282,14 @@ class Model:
         return out
 
     def forward(self, tape: Tape, expression: np.ndarray | Tensor,
-                treatments: np.ndarray) -> ForwardOutputs:
-        return self.head(tape, self.pooled_batch(tape, expression), treatments)
+                treatments: np.ndarray, heads=SIDE_HEADS) -> ForwardOutputs:
+        return self.head(tape, self.pooled_batch(tape, expression), treatments,
+                         heads)
 
-    def head(self, tape: Tape, pooled: Tensor, treatments: np.ndarray
-             ) -> ForwardOutputs:
-        """Everything after pooling: concepts, gate, classifier, side heads."""
+    def head(self, tape: Tape, pooled: Tensor, treatments: np.ndarray,
+             heads=SIDE_HEADS) -> ForwardOutputs:
+        """Everything after pooling: concepts, gate, classifier, and the
+        side heads named in `heads` (all of them by default)."""
         c_raw = self.concepts(tape, pooled)
         if self.config.gating_enabled:
             gates, c_gated = self.gate(tape, c_raw, treatments)
@@ -286,16 +301,19 @@ class Model:
             concepts_raw=c_raw,
             gates=gates,
             concepts_gated=c_gated,
-            pathway_pred=self.predict_pathways(tape, pooled),
-            projection=self.project_concepts(tape, c_raw),
-            aux=self.predict_aux(tape, c_raw),
+            pathway_pred=(self.predict_pathways(tape, pooled)
+                          if "pathway" in heads else None),
+            projection=(self.project_concepts(tape, c_raw)
+                        if "align" in heads else None),
+            aux=self.predict_aux(tape, c_raw) if "aux" in heads else None,
             prob=prob,
         )
 
     def predict_proba(self, expression: np.ndarray, treatments: np.ndarray
                       ) -> np.ndarray:
+        """Response probabilities; builds no side head."""
         tape = Tape()
-        out = self.forward(tape, expression, treatments)
+        out = self.forward(tape, expression, treatments, heads=())
         return out.prob.data.ravel()
 
     # ---- checkpointing ----------------------------------------------

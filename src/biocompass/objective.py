@@ -56,13 +56,25 @@ class BatchTargets:
     aux: dict                   # task -> [B, d_k], one entry per AUX_TASKS
     aux_masks: dict
 
+    def rows(self, rows: slice) -> "BatchTargets":
+        """The targets of a run of rows, as views."""
+        return BatchTargets(
+            response=self.response[rows],
+            pathway=self.pathway[rows],
+            pathway_mask=self.pathway_mask[rows],
+            biomarkers=self.biomarkers[rows],
+            biomarker_mask=self.biomarker_mask[rows],
+            aux={task: a[rows] for task, a in self.aux.items()},
+            aux_masks={task: m[rows] for task, m in self.aux_masks.items()},
+        )
+
 
 def composite_loss(tape: Tape, outputs: ForwardOutputs, targets: BatchTargets,
                    weights: LossWeights) -> tuple[Tensor, LossBreakdown]:
     """Weighted sum of the enabled terms; returns the tape node and a
-    float breakdown. Terms with weight zero are skipped entirely so their
-    heads receive no gradient; the auxiliary term is the unweighted sum of
-    its per-task errors."""
+    float breakdown. Terms with weight zero are skipped entirely, so their
+    heads receive no gradient and may be absent (None) from `outputs`; the
+    auxiliary term is the unweighted sum of its per-task errors."""
     # the classifier emits a [B, 1] column
     cls = tape.bce(outputs.prob, targets.response[:, None])
     records = {"cls": cls}   # breakdown name -> tape record

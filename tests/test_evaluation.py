@@ -1,7 +1,10 @@
+import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +14,12 @@ from scipy import stats
 import biocompass
 
 from biocompass import diffcore, evaluation
-from biocompass.data import (SyntheticSpec, generate_synthetic, normalize,
-                             split_by_group)
+from biocompass.data import (Dataset, SyntheticSpec, generate_synthetic,
+                             normalize, split_by_group)
 from biocompass.diffcore import Adam, Tape, zero_grads
-from biocompass.evaluation import (ABLATION_CONFIGS, AblationConfig,
-                                   FoldSeedResult, TrainConfig,
+from biocompass.evaluation import (ABLATION_CONFIGS, PROTOCOL_KEYS,
+                                   AblationConfig, FoldSeedResult,
+                                   MetricsReport, TrainConfig,
                                    _targets_slice, aggregate_rows,
                                    aggregate_seeds, compute_metrics,
                                    emit_report, make_model_config,
@@ -257,18 +261,19 @@ def train_pooling_each_batch(model, dataset, train_idx, x_norm, weights, cfg,
     return history
 
 
-class TestTrainModel:
-    @pytest.fixture(scope="class")
-    def fold_inputs(self):
-        dataset = generate_synthetic(SyntheticSpec(
-            n_cohorts=4, samples_per_cohort=(30, 30, 40, 40), n_genes=300,
-            n_latents=4, seed=4,
-            active_concepts={"PD-1": (0,), "PD-L1": (1,), "CTLA-4": (2,),
-                             "CTLA-4+PD-1": (3,)}))
-        fold = split_by_group(dataset, "cohort").folds[0]
-        x_norm, _ = normalize(dataset, fold.train_idx)
-        return dataset, fold.train_idx, x_norm
+@pytest.fixture(scope="module")
+def fold_inputs():
+    dataset = generate_synthetic(SyntheticSpec(
+        n_cohorts=4, samples_per_cohort=(30, 30, 40, 40), n_genes=300,
+        n_latents=4, seed=4,
+        active_concepts={"PD-1": (0,), "PD-L1": (1,), "CTLA-4": (2,),
+                         "CTLA-4+PD-1": (3,)}))
+    fold = split_by_group(dataset, "cohort").folds[0]
+    x_norm, _ = normalize(dataset, fold.train_idx)
+    return dataset, fold.train_idx, x_norm
 
+
+class TestTrainModel:
     def train_both(self, fold_inputs, mode):
         dataset, train_idx, x_norm = fold_inputs
         cfg = TrainConfig(epochs=4, lr=1e-2, mode=mode)
@@ -322,6 +327,77 @@ class TestTrainModel:
                     LossWeights(), cfg, 5)
 
 
+# the Model method that builds each side head, and the gate's
+HEAD_METHODS = {"pathway": "predict_pathways", "align": "project_concepts",
+                 "aux": "predict_aux", "gating": "gate"}
+
+
+class TestTrainsOnlyWhatTheLossReads:
+    @pytest.mark.parametrize("mode", ["pft", "fft"])
+    @pytest.mark.parametrize("off", list(HEAD_METHODS))
+    def test_unread_part_is_not_built_or_trained(self, fold_inputs,
+                                                 monkeypatch, mode, off):
+        dataset, train_idx, x_norm = fold_inputs
+        model_cfg = make_model_config(dataset, token_dim=8, gate_hidden=8)
+        weights = LossWeights()
+        if off == "gating":
+            model_cfg = replace(model_cfg, gating_enabled=False)
+        else:
+            weights = replace(weights, **{off: 0.0})
+        cfg = TrainConfig(epochs=2, lr=1e-2, mode=mode)
+        calls = dict.fromkeys(HEAD_METHODS.values(), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(Model, name, counted(name,
+                                                     getattr(Model, name)))
+        optimizers = []
+
+        class RecordedAdam(Adam):
+            def __init__(self, params, **kwargs):
+                super().__init__(params, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(evaluation, "Adam", RecordedAdam)
+        model = Model(model_cfg, seed=3)
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        train_model(model, dataset, train_idx, x_norm, weights, cfg, 5)
+        steps = cfg.epochs * math.ceil(len(train_idx) / cfg.batch_size)
+        for part, name in HEAD_METHODS.items():
+            assert calls[name] == (0 if part == off else steps), part
+        [opt] = optimizers
+        trained = {p.name for p, _ in opt._slots}
+        for name, p in model.params.items():
+            group = name.split(".")[0]
+            kept = group == off or (group == "encoder" and mode == "pft")
+            assert (name in trained) != kept, name
+            assert (p.data.tobytes() == before[name].tobytes()) == kept, name
+
+    @pytest.mark.parametrize("off", list(HEAD_METHODS))
+    def test_fft_matches_a_step_that_builds_every_head(self, fold_inputs,
+                                                       off):
+        """The reference loop builds all three side heads and Adam trains
+        every parameter; leaving the unread ones out changes no bit."""
+        dataset, train_idx, x_norm = fold_inputs
+        model_cfg = make_model_config(dataset, token_dim=8, gate_hidden=8)
+        weights = LossWeights()
+        if off == "gating":
+            model_cfg = replace(model_cfg, gating_enabled=False)
+        else:
+            weights = replace(weights, **{off: 0.0})
+        cfg = TrainConfig(epochs=2, lr=1e-2, mode="fft")
+        fast, ref = Model(model_cfg, seed=3), Model(model_cfg, seed=3)
+        args = (dataset, train_idx, x_norm, weights, cfg, 5)
+        assert train_model(fast, *args) == train_pooling_each_batch(ref, *args)
+        for name, p in fast.params.items():
+            assert p.data.tobytes() == ref.params[name].data.tobytes(), name
+
+
 def pathway_mse_grads(model, dataset, x_norm, idx, mode) -> dict:
     """Gradient of the pathway term alone (the masked `tape.mse` that
     `composite_loss` records) into each parameter, with the pooled
@@ -341,8 +417,8 @@ def pathway_mse_grads(model, dataset, x_norm, idx, mode) -> dict:
 
 class TestPathwayUnderPft:
     """Under PFT the pathway head reads the frozen pooled embedding, so the
-    pathway loss trains only `pathway.*`; `run_ablation` relies on this to
-    report `full`'s runs for `no_pathway`."""
+    pathway loss trains only `pathway.*`; `run_protocol` and `run_ablation`
+    rely on this to train every configuration without that loss."""
 
     def test_pathway_loss_moves_only_pathway_params(self, tiny_dataset):
         fold = split_by_group(tiny_dataset, "cohort").folds[0]
@@ -375,6 +451,79 @@ class TestPathwayUnderPft:
         assert same == (mode == "pft")
 
 
+def reference_report(dataset, protocol, seeds, model_cfg, weights,
+                     train_cfg) -> MetricsReport:
+    """`run_protocol` written out as a loop of `train_model` calls with the
+    given loss weights, pathway weight included."""
+    key = PROTOCOL_KEYS[protocol]
+    folds = split_by_group(dataset, key).folds
+    rows = []
+    for fold_id, fold in enumerate(folds):
+        for seed in seeds:
+            x_norm, _ = normalize(dataset, fold.train_idx)
+            model = Model(model_cfg, seed=seed)
+            train_model(model, dataset, fold.train_idx, x_norm, weights,
+                        train_cfg, seed)
+            probs = model.predict_proba(x_norm[fold.test_idx],
+                                        dataset.treatments[fold.test_idx])
+            rows.append(FoldSeedResult(fold_id, fold.group, seed,
+                                       compute_metrics(
+                                           probs,
+                                           dataset.response[fold.test_idx],
+                                           train_cfg.threshold)))
+    return MetricsReport(protocol=protocol, key=key, rows=rows,
+                         group_sizes={f.group: len(f.test_idx) for f in folds},
+                         seeds=list(seeds))
+
+
+class TestPftTrainsWithoutPathwayTerm:
+    @pytest.fixture(scope="class")
+    def model_cfg(self, tiny_dataset):
+        return make_model_config(tiny_dataset, token_dim=4, gate_hidden=4)
+
+    def test_reports_equal_training_with_the_pathway_term(
+            self, tiny_dataset, model_cfg, tmp_path):
+        train_cfg = TrainConfig(epochs=2, lr=1e-2, mode="pft")
+        weights = LossWeights()
+        expected = {
+            name: report_bytes(
+                reference_report(tiny_dataset, "loco", [0, 1],
+                                 *ab.apply(model_cfg, weights), train_cfg),
+                tmp_path / "reference" / name)
+            for name, ab in ABLATION_CONFIGS.items()}
+        assert expected["full"] != expected["no_gating"]
+        for name in ("full", "no_gating"):
+            report = run_protocol(tiny_dataset, "loco", [0, 1],
+                                  model_cfg=model_cfg, weights=weights,
+                                  train_cfg=train_cfg,
+                                  ablation=ABLATION_CONFIGS[name])
+            assert report_bytes(report, tmp_path / "protocol" / name) \
+                == expected[name], name
+        reports = run_ablation(tiny_dataset, "loco", [0, 1],
+                               model_cfg=model_cfg, weights=weights,
+                               train_cfg=train_cfg)
+        for name, report in reports.items():
+            assert report_bytes(report, tmp_path / "ablation" / name) \
+                == expected[name], name
+
+    @pytest.mark.parametrize("mode, pathway", [("pft", 0.0), ("fft", 0.1)])
+    def test_full_trains_the_pathway_term_only_under_fft(
+            self, tiny_dataset, model_cfg, monkeypatch, mode, pathway):
+        seen = []
+        train = evaluation.train_model
+
+        def recorded(model, dataset, train_idx, x_norm, weights, cfg, seed):
+            seen.append(weights.pathway)
+            return train(model, dataset, train_idx, x_norm, weights, cfg,
+                         seed)
+
+        monkeypatch.setattr(evaluation, "train_model", recorded)
+        run_protocol(tiny_dataset, "loco", [0], model_cfg=model_cfg,
+                     weights=LossWeights(pathway=0.1),
+                     train_cfg=TrainConfig(epochs=1, mode=mode))
+        assert seen == [pathway] * 4
+
+
 def report_bytes(report, out_dir) -> bytes:
     emit_report(report, out_dir)
     return b"".join((out_dir / name).read_bytes()
@@ -404,6 +553,51 @@ class TestRunAblation:
             for name, report in reports.items():
                 got = report_bytes(report, tmp_path / f"jobs{jobs}" / name)
                 assert got == expected[name], (jobs, name)
+
+    def test_jobs_send_the_dataset_once_per_worker(self, tiny_dataset,
+                                                    kwargs, monkeypatch,
+                                                    tmp_path):
+        """With --jobs the dataset travels in the pool's initializer
+        arguments, and a task carries only its fold, seed and runs."""
+        import concurrent.futures
+
+        sent = {}
+
+        class InlinePool:
+            """Runs each task in this process after a pickle round trip,
+            as a worker would receive it."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sent["initargs"] = initargs
+                initializer(*pickle.loads(pickle.dumps(initargs)))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                sent["tasks"] = [pickle.dumps(t) for t in tasks]
+                return [fn(pickle.loads(t)) for t in sent["tasks"]]
+
+        monkeypatch.setattr(evaluation, "_WORKER_DATASET", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        train_cfg = TrainConfig(epochs=1, lr=1e-2)
+        pooled = run_ablation(tiny_dataset, "loco", [0, 1], jobs=2,
+                              train_cfg=train_cfg, **kwargs)
+        [dataset] = sent["initargs"]
+        assert dataset is tiny_dataset
+        assert len(sent["tasks"]) == 4 * 2
+        for task in sent["tasks"]:
+            assert not any(isinstance(part, Dataset)
+                           for part in pickle.loads(task))
+        inline = run_ablation(tiny_dataset, "loco", [0, 1], jobs=1,
+                              train_cfg=train_cfg, **kwargs)
+        for name in ABLATION_CONFIGS:
+            assert (report_bytes(pooled[name], tmp_path / "jobs2" / name)
+                    == report_bytes(inline[name], tmp_path / "jobs1" / name))
 
     @pytest.mark.parametrize("mode, trained", [("pft", 4), ("fft", 5)])
     def test_normalises_once_and_skips_no_pathway_under_pft(

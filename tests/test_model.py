@@ -232,6 +232,44 @@ class TestForward:
         prob = model.classify(tape2, tape2.constant(out.concepts_raw.data))
         np.testing.assert_allclose(prob.data, out.prob.data)
 
+    @pytest.mark.parametrize("gating", [True, False])
+    def test_predict_proba_is_forward_prob_without_side_heads(
+            self, rng, monkeypatch, gating):
+        model = Model(tiny_model_config(gating_enabled=gating), seed=4)
+        x, treatments, _ = random_batch(rng, batch=6)
+        expected = model.forward(Tape(), x, treatments).prob.data.ravel()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("predict_proba built a side head")
+
+        for name in ("predict_pathways", "project_concepts", "predict_aux"):
+            monkeypatch.setattr(Model, name, refuse)
+        assert (model.predict_proba(x, treatments).tobytes()
+                == expected.tobytes())
+
+    def test_head_builds_only_the_side_heads_asked_for(self, rng):
+        model = Model(tiny_model_config(), seed=4)
+        x, treatments, _ = random_batch(rng)
+        tape = Tape()
+        out = model.head(tape, model.pooled_batch(tape, x), treatments,
+                         heads=("align",))
+        assert out.pathway_pred is None and out.aux is None
+        assert out.projection.shape == (3, 2)
+        full = model.forward(Tape(), x, treatments)
+        assert out.prob.data.tobytes() == full.prob.data.tobytes()
+
+    def test_reached_parameters_drop_unread_heads_and_off_gate(self):
+        def groups(params):
+            return {p.name.split(".")[0] for p in params}
+
+        model = Model(tiny_model_config(), seed=0)
+        assert model.reached_parameters() == model.parameters()
+        assert groups(model.reached_parameters(("align",))) == {
+            "encoder", "bottleneck", "gating", "align", "classifier"}
+        ungated = Model(tiny_model_config(gating_enabled=False), seed=0)
+        assert groups(ungated.reached_parameters(())) == {
+            "encoder", "bottleneck", "classifier"}
+
     def test_pft_encoder_gradients_zero(self, rng):
         model = Model(tiny_model_config(), seed=4)
         model.set_mode("pft")
