@@ -332,18 +332,22 @@ HEAD_METHODS = {"pathway": "predict_pathways", "align": "project_concepts",
                  "aux": "predict_aux", "gating": "gate"}
 
 
+def switched_off(dataset, off):
+    """Model config and loss weights with one side head (weight 0) or the
+    gate switched off."""
+    model_cfg = make_model_config(dataset, token_dim=8, gate_hidden=8)
+    if off == "gating":
+        return replace(model_cfg, gating_enabled=False), LossWeights()
+    return model_cfg, replace(LossWeights(), **{off: 0.0})
+
+
 class TestTrainsOnlyWhatTheLossReads:
     @pytest.mark.parametrize("mode", ["pft", "fft"])
     @pytest.mark.parametrize("off", list(HEAD_METHODS))
     def test_unread_part_is_not_built_or_trained(self, fold_inputs,
                                                  monkeypatch, mode, off):
         dataset, train_idx, x_norm = fold_inputs
-        model_cfg = make_model_config(dataset, token_dim=8, gate_hidden=8)
-        weights = LossWeights()
-        if off == "gating":
-            model_cfg = replace(model_cfg, gating_enabled=False)
-        else:
-            weights = replace(weights, **{off: 0.0})
+        model_cfg, weights = switched_off(dataset, off)
         cfg = TrainConfig(epochs=2, lr=1e-2, mode=mode)
         calls = dict.fromkeys(HEAD_METHODS.values(), 0)
 
@@ -384,12 +388,7 @@ class TestTrainsOnlyWhatTheLossReads:
         """The reference loop builds all three side heads and Adam trains
         every parameter; leaving the unread ones out changes no bit."""
         dataset, train_idx, x_norm = fold_inputs
-        model_cfg = make_model_config(dataset, token_dim=8, gate_hidden=8)
-        weights = LossWeights()
-        if off == "gating":
-            model_cfg = replace(model_cfg, gating_enabled=False)
-        else:
-            weights = replace(weights, **{off: 0.0})
+        model_cfg, weights = switched_off(dataset, off)
         cfg = TrainConfig(epochs=2, lr=1e-2, mode="fft")
         fast, ref = Model(model_cfg, seed=3), Model(model_cfg, seed=3)
         args = (dataset, train_idx, x_norm, weights, cfg, 5)
