@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diffcore
 from .data import Dataset, fit_normalization, apply_normalization, split_by_group
-from .diffcore import Tape, Tensor
+from .diffcore import Constant, Tape, Tensor, check_labels
 from .evaluation import (FoldSeedResult, MetricsReport, PROTOCOL_KEYS,
                          compute_metrics)
 
@@ -187,7 +187,12 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray, l2: float = L2,
     by L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on the loss and gradient that
     the differentiation core computes, plus the penalty added in numpy.
     `converged` means the gradient's 2-norm at the returned solution is at
-    most `GRAD_TOL`."""
+    most `GRAD_TOL`.
+
+    The standardized features and the labels are checked once per fit,
+    before the first evaluation, with the checks of `tape.constant`
+    (finite) and `Tape.bce` (`check_labels`); each evaluation reads them
+    unscanned."""
     # imported here: scipy.optimize adds about 0.3 s to every CLI start-up
     from scipy.optimize import minimize
 
@@ -199,14 +204,15 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray, l2: float = L2,
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
-    x = (features - mean) / std
+    x = Constant((features - mean) / std)
+    y = Constant.prechecked(check_labels(labels)[:, None])
     c = 0.5 * l2 / n
 
     def loss_and_grad(theta):
         tape = Tape()
         w, b = Tensor(theta[:d, None]), Tensor(theta[d:])
-        logits = tape.linear(tape.constant(x), w, b)
-        loss = tape.bce(tape.sigmoid(logits), labels[:, None])
+        logits = tape.linear(x, w, b)
+        loss = tape.bce(tape.sigmoid(logits), y)
         diffcore.backward(loss, tape)
         value = loss.data + np.sum(w.data * w.data) * c
         grad_w = w.grad[:, 0] + 2.0 * c * theta[:d]

@@ -59,8 +59,10 @@ class Dataset:
     @cached_property
     def log_expression(self) -> np.ndarray:
         """Read-only log2(TPM+1), computed on first use and kept: every fold's
-        normalisation and every baseline starts from it."""
-        logged = np.log2(self.expression + 1.0)
+        normalisation and every baseline starts from it. The log is taken in
+        place on the shifted copy, so no second panel-sized array is made."""
+        logged = self.expression + 1.0
+        np.log2(logged, out=logged)
         logged.flags.writeable = False
         return logged
 

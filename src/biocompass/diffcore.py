@@ -28,6 +28,15 @@ def _check_finite(values: np.ndarray, context: str) -> None:
         raise NonFiniteError(f"non-finite value in {context}")
 
 
+def check_labels(labels) -> np.ndarray:
+    """`labels` as a float64 array, checked to hold only 0 and 1: the check
+    `Tape.bce` runs on an array of labels."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if not ((labels == 0.0) | (labels == 1.0)).all():
+        raise ValueError("bce labels must be 0 or 1")
+    return labels
+
+
 class Tensor:
     """A dense float64 array plus an optional accumulated gradient.
 
@@ -65,10 +74,20 @@ class Tensor:
 
 class Constant(Tensor):
     """A leaf that takes no gradient: primitives skip the products meant for
-    it, and whatever still reaches `accumulate` is dropped."""
+    it, and whatever still reaches `accumulate` is dropped.
+
+    Indexing a constant gives the constant of the indexed values, unscanned:
+    a loop checks an array once, where it builds it, and each step takes its
+    rows as a slice."""
 
     __slots__ = ()
     needs_grad = False
+
+    def __init__(self, data, context: str = "constant"):
+        super().__init__(data, context)
+
+    def __getitem__(self, key) -> "Constant":
+        return self.prechecked(self.data[key])
 
     def accumulate(self, grad: np.ndarray) -> None:
         pass
@@ -124,7 +143,7 @@ class Tape:
 
     def constant(self, data) -> Tensor:
         """Leaf tensor that receives no gradient."""
-        return Constant(data, context="constant")
+        return Constant(data)
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
@@ -246,28 +265,31 @@ class Tape:
         batch = pred.data.shape[0]
         err = pred.data - target
         diff = mask * err
-        out = Tensor(np.sum(diff * err) / batch, context="mse")
+        out = Tensor((diff * err).sum() / batch, context="mse")
 
         def backward(grad):
             pred.accumulate(grad * 2.0 * diff / batch)
 
         return self._push(out, backward)
 
-    def bce(self, prob: Tensor, labels: np.ndarray) -> Tensor:
-        """Mean binary cross-entropy; probabilities clamped to [eps, 1-eps]."""
-        labels = np.asarray(labels, dtype=np.float64)
+    def bce(self, prob: Tensor, labels: np.ndarray | Tensor) -> Tensor:
+        """Mean binary cross-entropy; probabilities clamped to [eps, 1-eps].
+
+        `labels` is an array, which `check_labels` checks, or a constant
+        whose values the caller has checked with it."""
+        labels = (labels.data if isinstance(labels, Tensor)
+                  else check_labels(labels))
         if prob.data.shape != labels.shape:
             raise ValueError(
                 f"bce shape mismatch: {prob.data.shape} vs {labels.shape}"
             )
-        if not np.all((labels == 0.0) | (labels == 1.0)):
-            raise ValueError("bce labels must be 0 or 1")
         batch = labels.shape[0] if labels.ndim else 1
-        clamped = np.clip(prob.data, BCE_EPS, 1.0 - BCE_EPS)
+        # maximum/minimum: np.clip's values without its Python overhead
+        clamped = np.minimum(np.maximum(prob.data, BCE_EPS), 1.0 - BCE_EPS)
         inside = (prob.data > BCE_EPS) & (prob.data < 1.0 - BCE_EPS)
-        value = -np.sum(
+        value = -(
             labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped)
-        ) / batch
+        ).sum() / batch
         out = Tensor(value, context="bce")
 
         def backward(grad):

@@ -11,8 +11,10 @@ import numpy as np
 
 from . import diffcore
 from .data import Dataset, normalize, split_by_group
-from .diffcore import Adam, Constant, NonFiniteError, Tape, zero_grads
-from .model import AUX_TASKS, SIDE_HEADS, Model, ModelConfig, EncoderConfig
+from .diffcore import (Adam, Constant, NonFiniteError, Tape, check_labels,
+                       zero_grads)
+from .model import (AUX_TASKS, SIDE_HEADS, Model, ModelConfig, EncoderConfig,
+                    treatment_constant)
 from .objective import BatchTargets, LossWeights, composite_loss
 
 METRIC_NAMES = ("accuracy", "roc_auc", "f1", "precision", "recall")
@@ -138,8 +140,10 @@ class TrainConfig:
 
 
 def _targets_slice(dataset: Dataset, idx: np.ndarray) -> BatchTargets:
+    """The targets of rows `idx`, the response as a constant of labels that
+    `check_labels` has checked."""
     return BatchTargets(
-        response=dataset.response[idx].astype(np.float64),
+        response=Constant.prechecked(check_labels(dataset.response[idx])),
         pathway=dataset.pathway[idx],
         pathway_mask=dataset.pathway_mask[idx],
         biomarkers=dataset.biomarkers[idx],
@@ -160,13 +164,17 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
     classifier and only the side heads whose loss weight is > 0. Adam
     trains the parameters that such a step reaches
     (`Model.reached_parameters`), and the encoder only under FFT: every
-    other parameter keeps its initial value. Each epoch gathers its
-    permuted targets and treatments once, and each step takes its rows as
-    slices of them. With the encoder frozen, pooling is the same at every
-    step, so the training rows are pooled once, outside the step tapes,
-    and each epoch permutes that table. With the encoder trained, the
-    training rows are checked for finiteness once, before the first step,
-    and each step's batch of them enters the tape unscanned."""
+    other parameter keeps its initial value.
+
+    Every check on the loop's inputs runs once, at loop entry, before any
+    parameter changes; it raises what the step's primitive would raise on
+    the raw array. With the encoder frozen, pooling is the same at every
+    step, so the training rows are pooled once, outside the step tapes;
+    with the encoder trained, they are checked for finiteness once. The
+    treatment rows pass `treatment_constant` (the gate's checks) and the
+    response labels `check_labels` (the BCE's check). Each epoch permutes
+    these checked constants and each step takes its rows as slices of
+    them, which enter the tape unscanned."""
     model.set_mode(cfg.mode)
     heads = tuple(h for h in SIDE_HEADS if getattr(weights, h) > 0)
     params = model.reached_parameters(heads)
@@ -175,16 +183,20 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
     train_idx = np.asarray(train_idx)
     pooled = None
     if not model.params["encoder.gene_embedding"].trainable:
-        pooled = model.pooled_batch(Tape(), x_norm[train_idx]).data
+        pooled = Constant.prechecked(
+            model.pooled_batch(Tape(), x_norm[train_idx]).data)
     elif not np.isfinite(x_norm)[train_idx].all():
         raise NonFiniteError("non-finite value in the training rows of x_norm")
+    treatments = treatment_constant(dataset.treatments[train_idx])
+    targets = _targets_slice(dataset, train_idx)
     history = []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(train_idx))
-        order = train_idx[perm]
-        targets = _targets_slice(dataset, order)
-        treatments = dataset.treatments[order]
-        if pooled is not None:
+        epoch_targets = targets.rows(perm)
+        epoch_treatments = treatments[perm]
+        if pooled is None:
+            order = train_idx[perm]
+        else:
             pooled_rows = pooled[perm]
         sums, n_batches = {}, 0
         for start in range(0, len(perm), cfg.batch_size):
@@ -194,12 +206,12 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
             if pooled is None:
                 out = model.forward(tape,
                                     Constant.prechecked(x_norm[order[rows]]),
-                                    treatments[rows], heads)
+                                    epoch_treatments[rows], heads)
             else:
-                out = model.head(tape, tape.constant(pooled_rows[rows]),
-                                 treatments[rows], heads)
-            total, breakdown = composite_loss(tape, out, targets.rows(rows),
-                                              weights)
+                out = model.head(tape, pooled_rows[rows],
+                                 epoch_treatments[rows], heads)
+            total, breakdown = composite_loss(
+                tape, out, epoch_targets.rows(rows), weights)
             diffcore.backward(total, tape)
             opt.step()
             for k, v in breakdown.as_dict().items():

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .diffcore import Parameter, Tape, Tensor
+from .diffcore import Constant, Parameter, Tape, Tensor
 
 N_CONCEPTS = 44
 N_PATHWAYS = 42
@@ -142,6 +142,26 @@ class ForwardOutputs:
     prob: Tensor                  # [B, 1] response probability
 
 
+def treatment_constant(treatments) -> Constant:
+    """The treatment multi-hot rows as a constant, after the checks that
+    `Model.gate` runs on an array: one column per base target, at least one
+    bit per row, finite values, and no entry other than 0 or 1 (the error
+    names the first row with one)."""
+    treatments = np.atleast_2d(np.asarray(treatments, dtype=np.float64))
+    if treatments.shape[1] != len(BASE_TARGETS):
+        raise ValueError(f"treatment multi-hot width must be {len(BASE_TARGETS)}")
+    if np.any(treatments.sum(axis=1) < 1):
+        raise ValueError("every sample needs at least one treatment target bit")
+    # scanned before the 0/1 test, so a NaN raises NonFiniteError
+    t = Constant(treatments)
+    bad = (treatments != 0.0) & (treatments != 1.0)
+    if bad.any():
+        row = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise ValueError(f"treatment multi-hot row {row} has an entry other "
+                         f"than 0 or 1: {treatments[row].tolist()}")
+    return t
+
+
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     bound = 1.0 / np.sqrt(max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape)
@@ -246,15 +266,13 @@ class Model:
         z = tape.linear(pooled, self._p("bottleneck.w"), self._p("bottleneck.b"))
         return tape.softplus(z)
 
-    def gate(self, tape: Tape, concepts: Tensor, treatments: np.ndarray
-             ) -> tuple[Tensor, Tensor]:
-        """Per-sample gates g = sigmoid(W2 relu(W1 e_t + b1) + b2), c' = c * g."""
-        treatments = np.atleast_2d(np.asarray(treatments, dtype=np.float64))
-        if treatments.shape[1] != len(BASE_TARGETS):
-            raise ValueError(f"treatment multi-hot width must be {len(BASE_TARGETS)}")
-        if np.any(treatments.sum(axis=1) < 1):
-            raise ValueError("every sample needs at least one treatment target bit")
-        t = tape.constant(treatments)
+    def gate(self, tape: Tape, concepts: Tensor,
+             treatments: np.ndarray | Tensor) -> tuple[Tensor, Tensor]:
+        """Per-sample gates g = sigmoid(W2 relu(W1 e_t + b1) + b2), c' = c * g.
+        `treatments` is an array, which `treatment_constant` checks, or rows
+        of a constant that the caller has built with it."""
+        t = (treatments if isinstance(treatments, Tensor)
+             else treatment_constant(treatments))
         e_t = tape.matmul(t, self._p("gating.treatment_embedding"))
         h = tape.relu(tape.linear(e_t, self._p("gating.w1"), self._p("gating.b1")))
         gates = tape.sigmoid(tape.linear(h, self._p("gating.w2"),
@@ -282,11 +300,13 @@ class Model:
         return out
 
     def forward(self, tape: Tape, expression: np.ndarray | Tensor,
-                treatments: np.ndarray, heads=SIDE_HEADS) -> ForwardOutputs:
+                treatments: np.ndarray | Tensor,
+                heads=SIDE_HEADS) -> ForwardOutputs:
         return self.head(tape, self.pooled_batch(tape, expression), treatments,
                          heads)
 
-    def head(self, tape: Tape, pooled: Tensor, treatments: np.ndarray,
+    def head(self, tape: Tape, pooled: Tensor,
+             treatments: np.ndarray | Tensor,
              heads=SIDE_HEADS) -> ForwardOutputs:
         """Everything after pooling: concepts, gate, classifier, and the
         side heads named in `heads` (all of them by default)."""

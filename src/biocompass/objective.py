@@ -47,8 +47,10 @@ class LossBreakdown:
 @dataclass
 class BatchTargets:
     """Per-batch supervision. Every block is present; a missing value has
-    mask 0, and a block the dataset has no columns for is 0 wide."""
-    response: np.ndarray        # [B] in {0,1}
+    mask 0, and a block the dataset has no columns for is 0 wide. The
+    response is an array of labels, or a constant of labels that the caller
+    has checked with `check_labels`, as `Tape.bce` takes them."""
+    response: np.ndarray | Tensor   # [B] in {0,1}
     pathway: np.ndarray         # [B, 42]
     pathway_mask: np.ndarray
     biomarkers: np.ndarray      # [B, d_b]
@@ -56,8 +58,8 @@ class BatchTargets:
     aux: dict                   # task -> [B, d_k], one entry per AUX_TASKS
     aux_masks: dict
 
-    def rows(self, rows: slice) -> "BatchTargets":
-        """The targets of a run of rows, as views."""
+    def rows(self, rows) -> "BatchTargets":
+        """The targets of the rows that `rows` indexes: views for a slice."""
         return BatchTargets(
             response=self.response[rows],
             pathway=self.pathway[rows],

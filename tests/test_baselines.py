@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from biocompass import baselines, diffcore
 from biocompass.baselines import (SignatureDef, SignatureError,
                                   _baseline_features,
                                   default_signatures, fit_logreg,
@@ -12,6 +13,18 @@ from biocompass.baselines import (SignatureDef, SignatureError,
 from biocompass.data import SyntheticSpec, generate_synthetic, split_by_group
 from biocompass.evaluation import roc_auc
 from test_data import _dataset_from_tpm
+
+
+def counted_tapes(monkeypatch) -> list:
+    """Every tape that fit_logreg builds from now on: one per evaluation."""
+    tapes = []
+
+    class CountedTape(diffcore.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+    monkeypatch.setattr(baselines, "Tape", CountedTape)
+    return tapes
 
 
 class TestSignatureDef:
@@ -220,6 +233,51 @@ class TestFitLogreg:
     def test_single_class_rejected(self, rng):
         with pytest.raises(ValueError, match="both classes"):
             fit_logreg(rng.normal(size=(10, 2)), np.ones(10))
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("label 2", ValueError, "bce labels must be 0 or 1"),
+        ("non-finite feature", diffcore.NonFiniteError,
+         "non-finite value in constant"),
+    ])
+    def test_bad_input_raises_before_any_evaluation(self, rng, monkeypatch,
+                                                    case, error, message):
+        tapes = counted_tapes(monkeypatch)
+        x = rng.normal(size=(20, 2))
+        y = np.array([0, 1] * 10)
+        if case == "label 2":
+            y[-1] = 2
+        else:
+            x[-1, 0] = np.nan
+        with pytest.raises(error, match=message):
+            fit_logreg(x, y)
+        assert tapes == []
+
+    def test_inputs_are_checked_once_per_fit(self, rng, monkeypatch):
+        tapes = counted_tapes(monkeypatch)
+        calls = {}
+
+        def counted_check_labels(module):
+            fn = module.check_labels
+
+            def wrapper(labels):
+                calls["check_labels"] = calls.get("check_labels", 0) + 1
+                return fn(labels)
+            monkeypatch.setattr(module, "check_labels", wrapper)
+
+        for module in (diffcore, baselines):
+            counted_check_labels(module)
+        check_finite = diffcore._check_finite
+
+        def scan(values, context):
+            calls[context] = calls.get(context, 0) + 1
+            check_finite(values, context)
+        monkeypatch.setattr(diffcore, "_check_finite", scan)
+        x = rng.normal(size=(30, 3))
+        y = (x[:, 0] > 0).astype(int)
+        fit_logreg(x, y)
+        assert len(tapes) > 1
+        assert calls["check_labels"] == 1
+        assert calls["constant"] == 1
 
     def test_matches_closed_form_optimum_condition(self, rng):
         # at the optimum: X^T (p - y) / n + (l2/n) w == 0

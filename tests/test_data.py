@@ -247,6 +247,21 @@ def test_load_peak_memory_is_about_one_expression_matrix(tmp_path):
     assert peak <= 1.3 * tpm.nbytes, peak / tpm.nbytes
 
 
+def test_log_expression_peak_memory_is_about_one_expression_matrix(rng):
+    """log2 runs in place on the shifted copy: no second panel-sized
+    temporary next to the result."""
+    tpm = rng.lognormal(size=(400, 1000))
+    ds = _dataset_from_tpm(tpm)
+    tracemalloc.start()
+    try:
+        logged = ds.log_expression
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert logged.tobytes() == np.log2(tpm + 1.0).tobytes()
+    assert peak <= 1.3 * tpm.nbytes, peak / tpm.nbytes
+
+
 def spelled(value: float, form: int, pad: str) -> str:
     text = [repr(value), f"{value:.17g}", f"{value:e}", f"{value:+.12E}",
             f"{value:.6f}"][form]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biocompass import diffcore
-from biocompass.diffcore import (Adam, NonFiniteError, Parameter, Tape,
-                                 Tensor, backward, zero_grads)
+from biocompass.diffcore import (Adam, Constant, NonFiniteError, Parameter,
+                                 Tape, Tensor, backward, zero_grads)
 from conftest import finite_difference, assert_grad_close
 
 
@@ -194,6 +194,37 @@ class TestBce:
         tape = Tape()
         with pytest.raises(ValueError, match="0 or 1"):
             tape.bce(tape.constant([0.5]), np.array([2.0]))
+
+    def test_checked_constant_labels_are_not_scanned(self, monkeypatch):
+        prob, labels = np.array([[0.8], [0.3]]), np.array([[1.0], [0.0]])
+        expected = Tape().bce(Tape().constant(prob), labels)
+        checked = Constant.prechecked(diffcore.check_labels(labels))
+
+        def refuse(labels):
+            raise AssertionError("labels checked twice")
+        monkeypatch.setattr(diffcore, "check_labels", refuse)
+        tape = Tape()
+        loss = tape.bce(tape.constant(prob), checked)
+        assert loss.data.tobytes() == expected.data.tobytes()
+
+
+class TestConstant:
+    def test_rows_of_a_constant_are_unscanned_constant_views(self,
+                                                             monkeypatch):
+        c = Constant(np.arange(12.0).reshape(4, 3))
+
+        def refuse(values, context):
+            raise AssertionError("scanned")
+        monkeypatch.setattr(diffcore, "_check_finite", refuse)
+        rows = c[1:3]
+        assert isinstance(rows, Constant) and not rows.needs_grad
+        assert np.shares_memory(rows.data, c.data)
+        np.testing.assert_array_equal(c[[2, 0]][:, None].data,
+                                      c.data[[2, 0]][:, None])
+
+    def test_scan_names_the_constant(self):
+        with pytest.raises(NonFiniteError, match="non-finite value in constant"):
+            Constant([1.0, np.inf])
 
 
 class TestBackward:

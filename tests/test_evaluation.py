@@ -26,6 +26,7 @@ from biocompass.evaluation import (ABLATION_CONFIGS, PROTOCOL_KEYS,
                                    read_perfold_csv, roc_auc, run_ablation,
                                    run_protocol, threshold_metrics,
                                    train_model, METRIC_NAMES)
+from biocompass import model as model_module
 from biocompass.model import Model
 from biocompass.objective import LossWeights, composite_loss
 
@@ -325,6 +326,97 @@ class TestTrainModel:
         bad[np.setdiff1d(np.arange(len(dataset)), train_idx)[0], 7] = np.nan
         train_model(Model(model_cfg, seed=3), dataset, train_idx, bad,
                     LossWeights(), cfg, 5)
+
+
+def with_row(dataset, column, row, value):
+    """`dataset` with `value` written into row `row` of `column`."""
+    values = getattr(dataset, column).copy()
+    values[row] = value
+    return replace(dataset, **{column: values})
+
+
+# the input checks that train_model runs at loop entry: the mutation, and
+# the error that the step's primitive raises on the raw array
+LOOP_INPUT_CASES = {
+    "label 2": (lambda ds, row: with_row(ds, "response", row, 2),
+                ValueError, "bce labels must be 0 or 1"),
+    "empty multi-hot": (
+        lambda ds, row: with_row(ds, "treatments", row, [0.0, 0.0, 0.0]),
+        ValueError, "every sample needs at least one treatment target bit"),
+    "multi-hot entry 2": (
+        lambda ds, row: with_row(ds, "treatments", row, [2.0, 0.0, 0.0]),
+        ValueError, "has an entry other than 0 or 1"),
+    "multi-hot entry 0.5": (
+        lambda ds, row: with_row(ds, "treatments", row, [0.5, 0.5, 0.0]),
+        ValueError, "has an entry other than 0 or 1"),
+    "multi-hot width 4": (
+        lambda ds, row: replace(ds, treatments=np.hstack(
+            [ds.treatments, np.zeros((len(ds), 1))])),
+        ValueError, "treatment multi-hot width must be 3"),
+    "non-finite multi-hot": (
+        lambda ds, row: with_row(ds, "treatments", row, [np.nan, 1.0, 0.0]),
+        diffcore.NonFiniteError, "non-finite value in constant"),
+}
+
+
+class TestLoopInputChecks:
+    @pytest.mark.parametrize("mode", ["pft", "fft"])
+    @pytest.mark.parametrize("case", list(LOOP_INPUT_CASES))
+    def test_bad_row_raises_before_any_step(self, fold_inputs, mode, case):
+        dataset, train_idx, x_norm = fold_inputs
+        mutate, error, message = LOOP_INPUT_CASES[case]
+        # the row that the first epoch (seed 5) visits last, as above
+        perm = np.random.default_rng(5).permutation(len(train_idx))
+        bad = mutate(dataset, train_idx[perm[-1]])
+        cfg = TrainConfig(epochs=1, lr=1e-2, mode=mode)
+        model = Model(make_model_config(dataset, token_dim=8, gate_hidden=8),
+                      seed=3)
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        with pytest.raises(error, match=message):
+            train_model(model, bad, train_idx, x_norm, LossWeights(), cfg, 5)
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name]), name
+
+    @pytest.mark.parametrize("mode", ["pft", "fft"])
+    def test_checks_run_once_per_call(self, fold_inputs, monkeypatch, mode):
+        dataset, train_idx, x_norm = fold_inputs
+        calls = {}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        # each module's own reference: the primitives', and the loop's
+        for module in (diffcore, evaluation):
+            count(module, "check_labels")
+        for module in (model_module, evaluation):
+            count(module, "treatment_constant")
+        check_finite = diffcore._check_finite
+
+        def scan(values, context):
+            calls[context] = calls.get(context, 0) + 1
+            check_finite(values, context)
+        monkeypatch.setattr(diffcore, "_check_finite", scan)
+
+        model_cfg = make_model_config(dataset, token_dim=8, gate_hidden=8)
+        steps = math.ceil(len(train_idx) / TrainConfig().batch_size)
+        assert steps > 1
+        per_call = []
+        for epochs in (1, 3):
+            calls.clear()
+            train_model(Model(model_cfg, seed=3), dataset, train_idx, x_norm,
+                        LossWeights(), TrainConfig(epochs=epochs, mode=mode),
+                        5)
+            assert calls["check_labels"] == 1
+            assert calls["treatment_constant"] == 1
+            per_call.append(calls.get("constant", 0))
+        # no constant of the step is scanned: the count does not grow with
+        # the steps taken
+        assert per_call[0] == per_call[1]
 
 
 # the Model method that builds each side head, and the gate's

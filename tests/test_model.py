@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from biocompass.diffcore import NonFiniteError, Tape, backward, zero_grads
-from biocompass.model import Model, TreatmentTarget, N_CONCEPTS, N_PATHWAYS
+from biocompass import model as model_module
+from biocompass.model import (Model, TreatmentTarget, N_CONCEPTS, N_PATHWAYS,
+                              treatment_constant)
 from biocompass.objective import LossWeights
 from conftest import composite_scalar, random_batch, tiny_model_config
 
@@ -109,6 +111,32 @@ class TestGate:
         with pytest.raises(ValueError, match="at least one treatment"):
             model.gate(tape, tape.constant(np.zeros((1, N_CONCEPTS))),
                        np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("rows, bad_row", [
+        ([[2, 0, 0]], 0),
+        ([[0.5, 0.5, 0]], 0),
+        ([[1, 0, 0], [0, 1, 1], [1, -1, 1], [3, 0, 0]], 2),
+    ])
+    def test_non_binary_multihot_rejected(self, rows, bad_row):
+        # each of these rows sums to >= 1, which the empty-row check passes
+        model = Model(tiny_model_config(), seed=0)
+        with pytest.raises(ValueError, match=f"row {bad_row} has an entry "
+                                             "other than 0 or 1"):
+            model.predict_proba(np.zeros((len(rows), 5)),
+                                np.array(rows, dtype=float))
+
+    def test_checked_constant_is_not_checked_again(self, monkeypatch):
+        model = Model(tiny_model_config(), seed=0)
+        raw = np.array([[1, 0, 0], [0, 1, 1]], float)
+        expected = model.predict_proba(np.ones((2, 5)), raw)
+        checked = treatment_constant(raw)
+
+        def refuse(treatments):
+            raise AssertionError("checked twice")
+        monkeypatch.setattr(model_module, "treatment_constant", refuse)
+        tape = Tape()
+        out = model.forward(tape, np.ones((2, 5)), checked[0:2], heads=())
+        assert out.prob.data.ravel().tobytes() == expected.tobytes()
 
     def test_gate_bound_and_shrinkage(self, rng):
         model = Model(tiny_model_config(), seed=5)
