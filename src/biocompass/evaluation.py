@@ -10,7 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diffcore
-from .data import Dataset, normalize, split_by_group
+from .data import (Dataset, apply_normalization, fit_normalization, normalize,
+                   split_by_group)
 from .diffcore import (Adam, Constant, NonFiniteError, Tape, check_labels,
                        zero_grads)
 from .model import (AUX_TASKS, SIDE_HEADS, Model, ModelConfig, EncoderConfig,
@@ -155,8 +156,9 @@ def _targets_slice(dataset: Dataset, idx: np.ndarray) -> BatchTargets:
 
 
 def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
-                x_norm: np.ndarray, weights: LossWeights, cfg: TrainConfig,
-                seed: int) -> list:
+                x_norm: np.ndarray | None, weights: LossWeights,
+                cfg: TrainConfig, seed: int,
+                pooled: np.ndarray | None = None) -> list:
     """Minibatch training on one fold's training rows; returns per-epoch
     mean loss breakdowns.
 
@@ -169,8 +171,12 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
     Every check on the loop's inputs runs once, at loop entry, before any
     parameter changes; it raises what the step's primitive would raise on
     the raw array. With the encoder frozen, pooling is the same at every
-    step, so the training rows are pooled once, outside the step tapes;
-    with the encoder trained, they are checked for finiteness once. The
+    step, so the training rows are pooled once, outside the step tapes:
+    `pooled`, when given, holds every sample's pooled row
+    (`Model.pooled_normalized`) and the loop scans and reads its training
+    rows, so `x_norm` may be None; without it, `x_norm[train_idx]` is
+    pooled. With the encoder trained, `x_norm`'s training rows are checked
+    for finiteness once, and `pooled` is refused. The
     treatment rows pass `treatment_constant` (the gate's checks) and the
     response labels `check_labels` (the BCE's check). Each epoch permutes
     these checked constants and each step takes its rows as slices of
@@ -181,12 +187,18 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
     opt = Adam(params, lr=cfg.lr)
     rng = np.random.default_rng(seed)
     train_idx = np.asarray(train_idx)
-    pooled = None
-    if not model.params["encoder.gene_embedding"].trainable:
+    if model.params["encoder.gene_embedding"].trainable:
+        if pooled is not None:
+            raise ValueError("a pooled table needs a frozen encoder (PFT)")
+        if not np.isfinite(x_norm)[train_idx].all():
+            raise NonFiniteError(
+                "non-finite value in the training rows of x_norm")
+    elif pooled is not None:
+        pooled = Constant(pooled[train_idx],
+                          context="the training rows of the pooled table")
+    else:
         pooled = Constant.prechecked(
             model.pooled_batch(Tape(), x_norm[train_idx]).data)
-    elif not np.isfinite(x_norm)[train_idx].all():
-        raise NonFiniteError("non-finite value in the training rows of x_norm")
     treatments = treatment_constant(dataset.treatments[train_idx])
     targets = _targets_slice(dataset, train_idx)
     history = []
@@ -322,23 +334,51 @@ def make_model_config(dataset: Dataset, token_dim: int = 16,
 
 def _run_fold_seed(dataset: Dataset, fold, fold_id: int, seed: int,
                    runs: list, train_cfg: TrainConfig) -> list:
-    """One fold x seed task: normalise with the fold's training statistics
-    once, then train each (model config, loss weights) pair of `runs` from
-    a fresh initialisation on those rows and score it on the test rows.
-    Returns one FoldSeedResult per run."""
-    x_norm, _ = normalize(dataset, fold.train_idx)
+    """One fold x seed task: fit the fold's normalisation statistics on its
+    training rows once, then train each (model config, loss weights) pair
+    of `runs` from a fresh initialisation on those rows and score it on the
+    z-scored test rows. Returns one FoldSeedResult per run.
+
+    Under FFT the panel is z-scored once, for every run. Under PFT no
+    panel is z-scored: each distinct frozen embedding pools every sample
+    once, straight from log-expression (`Model.pooled_normalized`), the
+    runs drawing that embedding train on the one table, and only the test
+    rows are z-scored, for scoring, with the bytes the panel's rows have."""
+    logged = dataset.log_expression
+    if train_cfg.mode == "pft":
+        x_norm, stats = None, fit_normalization(logged, fold.train_idx)
+    else:
+        x_norm, stats = normalize(dataset, fold.train_idx)
+    tables = []   # (frozen embedding, pooled table) pairs
     results = []
     for model_cfg, weights in runs:
         model = Model(model_cfg, seed=seed)
+        pooled = None
+        if x_norm is None:
+            pooled = _pooled_table(model, logged, stats, tables)
         train_model(model, dataset, fold.train_idx, x_norm, weights,
-                    train_cfg, seed)
-        probs = model.predict_proba(x_norm[fold.test_idx],
-                                    dataset.treatments[fold.test_idx])
+                    train_cfg, seed, pooled=pooled)
+        x_test = (apply_normalization(logged[fold.test_idx], stats)
+                  if x_norm is None else x_norm[fold.test_idx])
+        probs = model.predict_proba(x_test, dataset.treatments[fold.test_idx])
         metrics = compute_metrics(probs, dataset.response[fold.test_idx],
                                   train_cfg.threshold)
         results.append(FoldSeedResult(fold_id=fold_id, group=fold.group,
                                       seed=seed, metrics=metrics))
     return results
+
+
+def _pooled_table(model: Model, logged: np.ndarray, stats,
+                  tables: list) -> np.ndarray:
+    """The pooled table of `model`'s frozen embedding: the one in `tables`
+    built for an equal embedding, else a new one, added to `tables`."""
+    emb = model.params["encoder.gene_embedding"].data
+    for seen, table in tables:
+        if np.array_equal(seen, emb):
+            return table
+    table = model.pooled_normalized(logged, stats)
+    tables.append((emb, table))
+    return table
 
 
 # the dataset of a --jobs worker process, set once by `_init_worker`
@@ -381,8 +421,9 @@ def _run_configs(dataset: Dataset, protocol: str, seeds, ablations,
                  weights: LossWeights | None = None,
                  train_cfg: TrainConfig | None = None,
                  weighted: bool = False, jobs: int = 1) -> list:
-    """One MetricsReport per ablation, from fold x seed tasks that each
-    normalise once and train every distinct configuration."""
+    """One MetricsReport per ablation, from fold x seed tasks that each fit
+    their normalisation once and train every distinct configuration (see
+    `_run_fold_seed`)."""
     if protocol not in PROTOCOL_KEYS:
         raise ValueError(f"unknown protocol: {protocol!r}")
     key = PROTOCOL_KEYS[protocol]
@@ -442,7 +483,7 @@ ABLATION_CONFIGS = {
 
 def run_ablation(dataset: Dataset, protocol: str, seeds, **kwargs) -> dict:
     """Full model plus the four one-component-off configurations, trained
-    fold by fold on one normalisation per fold x seed; takes
+    fold by fold on one normalisation fit per fold x seed; takes
     `run_protocol`'s keywords except `ablation`. Under PFT every
     configuration trains without the pathway term and `no_pathway` reports
     `full`'s runs (see `_distinct_runs`)."""

@@ -14,7 +14,8 @@ from scipy import stats
 import biocompass
 
 from biocompass import diffcore, evaluation
-from biocompass.data import (Dataset, SyntheticSpec, generate_synthetic,
+from biocompass.data import (Dataset, SyntheticSpec, apply_normalization,
+                             fit_normalization, generate_synthetic,
                              normalize, split_by_group)
 from biocompass.diffcore import Adam, Tape, zero_grads
 from biocompass.evaluation import (ABLATION_CONFIGS, PROTOCOL_KEYS,
@@ -328,6 +329,80 @@ class TestTrainModel:
                     LossWeights(), cfg, 5)
 
 
+class TestPooledTable:
+    """Under PFT a task pools every sample once, straight from
+    log-expression (`Model.pooled_normalized`), and trains each
+    configuration on that table instead of on `x_norm`."""
+
+    @pytest.mark.parametrize("config", list(ABLATION_CONFIGS))
+    def test_every_config_trains_like_the_x_norm_path(self, fold_inputs,
+                                                      config):
+        dataset, train_idx, x_norm = fold_inputs
+        stats = fit_normalization(dataset.log_expression, train_idx)
+        model_cfg, weights = ABLATION_CONFIGS[config].apply(
+            make_model_config(dataset, token_dim=8, gate_hidden=8),
+            LossWeights())
+        cfg = TrainConfig(epochs=4, lr=1e-2, mode="pft")
+        fast, ref = Model(model_cfg, seed=3), Model(model_cfg, seed=3)
+        table = fast.pooled_normalized(dataset.log_expression, stats)
+        fast_hist = train_model(fast, dataset, train_idx, None, weights, cfg,
+                                5, pooled=table)
+        ref_hist = train_model(ref, dataset, train_idx, x_norm, weights, cfg,
+                               5)
+        # the folded z-score only changes how each pooled value is summed
+        for a, b in zip(fast_hist, ref_hist):
+            assert a.keys() == b.keys()
+            for k in a:
+                assert abs(a[k] - b[k]) <= 1e-12 * abs(b[k]), k
+        for name, p in fast.params.items():
+            q = ref.params[name].data
+            assert np.linalg.norm(p.data - q) <= 1e-12 * np.linalg.norm(q), name
+
+    def test_non_finite_training_row_raises_before_any_step(self,
+                                                             fold_inputs):
+        dataset, train_idx, _ = fold_inputs
+        stats = fit_normalization(dataset.log_expression, train_idx)
+        cfg = TrainConfig(epochs=1, lr=1e-2, mode="pft")
+        model_cfg = make_model_config(dataset, token_dim=8, gate_hidden=8)
+        # the row that the first epoch (seed 5) visits last
+        perm = np.random.default_rng(5).permutation(len(train_idx))
+        bad = dataset.log_expression.copy()
+        bad[train_idx[perm[-1]], 7] = np.nan
+        model = Model(model_cfg, seed=3)
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        table = model.pooled_normalized(bad, stats)
+        with pytest.raises(diffcore.NonFiniteError,
+                           match="training rows of the pooled table"):
+            train_model(model, dataset, train_idx, None, LossWeights(), cfg,
+                        5, pooled=table)
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name]), name
+        # a non-finite test row is not a training row
+        bad = dataset.log_expression.copy()
+        bad[np.setdiff1d(np.arange(len(dataset)), train_idx)[0], 7] = np.nan
+        model = Model(model_cfg, seed=3)
+        train_model(model, dataset, train_idx, None, LossWeights(), cfg, 5,
+                    pooled=model.pooled_normalized(bad, stats))
+
+    def test_trained_encoder_refuses_a_table(self, fold_inputs):
+        dataset, train_idx, x_norm = fold_inputs
+        stats = fit_normalization(dataset.log_expression, train_idx)
+        model = Model(make_model_config(dataset, token_dim=8, gate_hidden=8),
+                      seed=3)
+        table = model.pooled_normalized(dataset.log_expression, stats)
+        with pytest.raises(ValueError, match="frozen encoder"):
+            train_model(model, dataset, train_idx, x_norm, LossWeights(),
+                        TrainConfig(epochs=1, mode="fft"), 5, pooled=table)
+
+    def test_test_rows_z_score_like_the_whole_panel(self, fold_inputs):
+        dataset, train_idx, _ = fold_inputs
+        logged = dataset.log_expression
+        stats = fit_normalization(logged, train_idx)
+        test_idx = np.setdiff1d(np.arange(len(dataset)), train_idx)
+        assert (apply_normalization(logged[test_idx], stats).tobytes()
+                == apply_normalization(logged, stats)[test_idx].tobytes())
+
+
 def with_row(dataset, column, row, value):
     """`dataset` with `value` written into row `row` of `column`."""
     values = getattr(dataset, column).copy()
@@ -603,10 +678,11 @@ class TestPftTrainsWithoutPathwayTerm:
         seen = []
         train = evaluation.train_model
 
-        def recorded(model, dataset, train_idx, x_norm, weights, cfg, seed):
+        def recorded(model, dataset, train_idx, x_norm, weights, cfg, seed,
+                     **kwargs):
             seen.append(weights.pathway)
             return train(model, dataset, train_idx, x_norm, weights, cfg,
-                         seed)
+                         seed, **kwargs)
 
         monkeypatch.setattr(evaluation, "train_model", recorded)
         run_protocol(tiny_dataset, "loco", [0], model_cfg=model_cfg,
@@ -693,26 +769,44 @@ class TestRunAblation:
     @pytest.mark.parametrize("mode, trained", [("pft", 4), ("fft", 5)])
     def test_normalises_once_and_skips_no_pathway_under_pft(
             self, tiny_dataset, kwargs, monkeypatch, mode, trained):
-        calls = {"normalize": [], "train_model": []}
+        calls = {"normalize": [], "fit_normalization": [],
+                 "train_model": []}
+        tables = []
 
         def counted(name, fn):
             def wrapper(*args, **kw):
-                calls[name].append(args)
+                calls[name].append((args, kw))
                 return fn(*args, **kw)
             return wrapper
+
+        def table(model, *args):
+            tables.append(pooled_normalized(model, *args))
+            return tables[-1]
 
         for name in calls:
             monkeypatch.setattr(evaluation, name,
                                 counted(name, getattr(evaluation, name)))
+        pooled_normalized = Model.pooled_normalized
+        monkeypatch.setattr(Model, "pooled_normalized", table)
         run_ablation(tiny_dataset, "loco", [0, 1],
                      train_cfg=TrainConfig(epochs=1, mode=mode), **kwargs)
         tasks = 4 * 2  # folds x seeds
-        assert len(calls["normalize"]) == tasks
         assert len(calls["train_model"]) == tasks * trained
-        # the configs of a task train on that task's one x_norm
-        x_norms = [args[3] for args in calls["train_model"]]
+        if mode == "fft":
+            assert len(calls["normalize"]) == tasks
+            # the configs of a task train on that task's one x_norm
+            shared = [args[3] for args, _ in calls["train_model"]]
+        else:
+            # one statistics fit and one pooled table per task, and no
+            # N x G normalised matrix
+            assert calls["normalize"] == []
+            assert len(calls["fit_normalization"]) == tasks
+            assert len(tables) == tasks
+            assert all(args[3] is None for args, _ in calls["train_model"])
+            shared = [kw["pooled"] for _, kw in calls["train_model"]]
+            assert all(shared[t * trained] is tables[t] for t in range(tasks))
         for t in range(tasks):
-            task = x_norms[t * trained:(t + 1) * trained]
+            task = shared[t * trained:(t + 1) * trained]
             assert all(x is task[0] for x in task)
 
 

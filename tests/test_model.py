@@ -6,8 +6,9 @@ import pytest
 
 from biocompass.diffcore import NonFiniteError, Tape, backward, zero_grads
 from biocompass import model as model_module
-from biocompass.model import (Model, TreatmentTarget, N_CONCEPTS, N_PATHWAYS,
-                              treatment_constant)
+from biocompass.data import apply_normalization, fit_normalization
+from biocompass.model import (EncoderConfig, Model, TreatmentTarget,
+                              N_CONCEPTS, N_PATHWAYS, treatment_constant)
 from biocompass.objective import LossWeights
 from conftest import composite_scalar, random_batch, tiny_model_config
 
@@ -246,6 +247,8 @@ class TestForward:
         model = Model(tiny_model_config(), seed=0)
         with pytest.raises(ValueError, match="gene count"):
             model.pooled_batch(Tape(), np.zeros((2, 7)))
+        with pytest.raises(ValueError, match="gene count"):
+            model.pooled_normalized(np.zeros((2, 7)), None)
 
     def test_gating_ablation_equivalence(self, rng):
         cfg = tiny_model_config(gating_enabled=False)
@@ -335,6 +338,66 @@ class TestForward:
         flat[idx] = orig
         assert emb.grad.ravel()[idx] == pytest.approx((up - down) / (2 * h),
                                                       rel=1e-4)
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]])
+    def test_ungated_model_refuses_the_rows_the_gated_model_refuses(self,
+                                                                    row):
+        raised = []
+        for gating in (True, False):
+            model = Model(tiny_model_config(gating_enabled=gating), seed=0)
+            with pytest.raises(ValueError) as exc:
+                model.predict_proba(np.ones((1, 5)), [row])
+            raised.append((type(exc.value), str(exc.value)))
+        assert raised[0] == raised[1]
+
+    def test_ungated_probabilities_do_not_read_the_treatments(self, rng):
+        model = Model(tiny_model_config(gating_enabled=False), seed=4)
+        x, treatments, _ = random_batch(rng, batch=6)
+        tape = Tape()
+        expected = model.classify(
+            tape, model.concepts(tape, model.pooled_batch(tape, x)))
+        assert (model.predict_proba(x, treatments).tobytes()
+                == expected.data.ravel().tobytes())
+
+
+def folded_inputs(steep_ratio=None):
+    """A log-expression panel of 60 samples x 40 genes, the statistics of
+    its first 45 rows and a model over it. Gene 3 is constant on the
+    training rows (std clamped to 1). With `steep_ratio`, gene 5 sits near
+    1e4 with |mean| / std of about `steep_ratio`."""
+    rng = np.random.default_rng(7)
+    logged = np.log2(rng.lognormal(2.0, 1.5, size=(60, 40)) + 1.0)
+    logged[:45, 3] = 2.5
+    if steep_ratio is not None:
+        logged[:, 5] = 1e4 + 1e4 / steep_ratio * rng.standard_normal(60)
+    stats = fit_normalization(logged, np.arange(45))
+    model = Model(tiny_model_config(
+        encoder=EncoderConfig(gene_count=40, token_dim=4)), seed=2)
+    return logged, stats, model
+
+
+def folded_error(logged, stats, model) -> float:
+    """max |pooled_normalized - pooled_batch of the z-scored panel|, over
+    the largest reference value."""
+    ref = model.pooled_batch(Tape(), apply_normalization(logged, stats)).data
+    got = model.pooled_normalized(logged, stats)
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+class TestPooledNormalized:
+    def test_matches_pooling_the_z_scored_panel(self):
+        logged, stats, model = folded_inputs()
+        assert stats.std[3] == 1.0
+        assert folded_error(logged, stats, model) <= 1e-13
+
+    def test_steep_gene_is_centred_before_pooling(self, monkeypatch):
+        logged, stats, model = folded_inputs(steep_ratio=1e10)
+        assert abs(stats.mean[5]) / stats.std[5] > 1e9
+        assert folded_error(logged, stats, model) <= 1e-13
+        # folded like every other gene, it cancels far beyond that bound
+        monkeypatch.setattr(model_module, "STEEP_RATIO", np.inf)
+        assert folded_error(logged, stats, model) > 1e-9
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
