@@ -7,7 +7,6 @@ the fallback seed when neither is given.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass, field, asdict, replace
@@ -19,8 +18,8 @@ from . import data as data_mod
 from . import evaluation as eval_mod
 from .evaluation import (AblationConfig, TrainConfig, make_model_config,
                          run_protocol, run_ablation, emit_report,
-                         train_model, write_perfold_csv, BUCKETS,
-                         METRIC_NAMES)
+                         train_model, aggregate_cells, write_aggregate_csv,
+                         write_perfold_csv)
 from .model import Model, build_checked
 from .objective import LossWeights
 
@@ -210,13 +209,9 @@ def cmd_eval(args) -> int:
 
 
 def _print_aggregate(report) -> None:
-    agg = report.aggregates()
-    for bucket in BUCKETS:
-        for metric in METRIC_NAMES:
-            if metric in agg.get(bucket, {}):
-                mean, lo, hi, n = agg[bucket][metric]
-                print(f"{bucket:6s} {metric:10s} {mean:.4f} "
-                      f"[{lo:.4f}, {hi:.4f}] (n={n})")
+    for bucket, metric, mean, lo, hi, n in aggregate_cells(report):
+        print(f"{bucket:6s} {metric:10s} {mean:.4f} [{lo:.4f}, {hi:.4f}] "
+              f"(n={n})")
 
 
 def cmd_ablate(args) -> int:
@@ -244,10 +239,8 @@ def cmd_ablate(args) -> int:
         f.write("config,metric,mean,ci_low,ci_high,n\n")
         for name, report in reports.items():
             emit_report(report, os.path.join(cfg.out_dir, name))
-            agg = report.aggregates()["all"]
-            for metric in METRIC_NAMES:
-                if metric in agg:
-                    mean, lo, hi, n = agg[metric]
+            for bucket, metric, mean, lo, hi, n in aggregate_cells(report):
+                if bucket == "all":
                     f.write(f"{name},{metric},{mean!r},{lo!r},{hi!r},{n}\n")
             print(f"--- {name} ---")
             _print_aggregate(report)
@@ -263,25 +256,14 @@ def cmd_baselines(args) -> int:
                                           signatures=sigs,
                                           weighted=cfg.weighted)
     os.makedirs(cfg.out_dir, exist_ok=True)
+    reports = [((res.method,), res.report) for res in results]
     write_perfold_csv(os.path.join(cfg.out_dir, "baselines_perfold.csv"),
-                      [((res.method,), res.report) for res in results],
-                      lead_header=("method",))
-    with open(os.path.join(cfg.out_dir, "baselines_aggregate.csv"), "w",
-              newline="") as f:
-        # csv quotes a method (signature) name with a comma
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["method", "bucket", "metric", "mean", "ci_low",
-                         "ci_high", "n"])
-        for res in results:
-            agg = res.report.aggregates()
-            for bucket in BUCKETS:
-                for metric in METRIC_NAMES:
-                    if metric in agg.get(bucket, {}):
-                        mean, lo, hi, n = agg[bucket][metric]
-                        writer.writerow([res.method, bucket, metric,
-                                         repr(mean), repr(lo), repr(hi), n])
-            print(f"--- {res.method} ---")
-            _print_aggregate(res.report)
+                      reports, lead_header=("method",))
+    write_aggregate_csv(os.path.join(cfg.out_dir, "baselines_aggregate.csv"),
+                        reports, lead_header=("method",))
+    for res in results:
+        print(f"--- {res.method} ---")
+        _print_aggregate(res.report)
     return 0
 
 

@@ -404,11 +404,22 @@ class SyntheticSpec:
     active_concepts: dict = field(default_factory=default_active_concepts)
 
     def __post_init__(self):
-        if self.signal_strength < 0:
-            raise ValueError("signal_strength must be nonnegative")
+        for name, low in [("n_cohorts", 1), ("n_genes", 1), ("n_latents", 1),
+                          ("signal_strength", 0), ("noise_scale", 0),
+                          ("seed", 0), ("biomarker_dim", 0), ("tide_dim", 0),
+                          ("ipres_dim", 0), ("pheno_dim", 0)]:
+            value = getattr(self, name)
+            if not value >= low:   # a NaN fails too
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if len(self.samples_per_cohort) != self.n_cohorts:
             raise ValueError("samples_per_cohort length must equal n_cohorts")
+        if not all(type(n) is int and n >= 1 for n in self.samples_per_cohort):
+            raise ValueError(f"samples_per_cohort must hold integers >= 1, "
+                             f"got {self.samples_per_cohort!r}")
         for treatment, latents in self.active_concepts.items():
+            if treatment not in SYNTH_TREATMENTS:
+                raise ValueError(f"active_concepts key {treatment!r} is not "
+                                 f"one of {', '.join(SYNTH_TREATMENTS)}")
             if type(latents) is not tuple or not all(
                     type(k) is int and 0 <= k < self.n_latents for k in latents):
                 raise ValueError(

@@ -340,24 +340,24 @@ def _run_fold_seed(dataset: Dataset, fold, fold_id: int, seed: int,
     z-scored test rows. Returns one FoldSeedResult per run.
 
     Under FFT the panel is z-scored once, for every run. Under PFT no
-    panel is z-scored: each distinct frozen embedding pools every sample
-    once, straight from log-expression (`Model.pooled_normalized`), the
-    runs drawing that embedding train on the one table, and only the test
-    rows are z-scored, for scoring, with the bytes the panel's rows have."""
+    panel is z-scored: the task's first model pools every sample once,
+    straight from log-expression (`Model.pooled_normalized`), and every run
+    trains on that table, as `Model(cfg, seed)` draws the frozen embedding
+    first and the runs differ only in gating and loss weights. Only the
+    test rows are z-scored, for scoring, as the panel's rows would be."""
     logged = dataset.log_expression
     if train_cfg.mode == "pft":
         x_norm, stats = None, fit_normalization(logged, fold.train_idx)
     else:
         x_norm, stats = normalize(dataset, fold.train_idx)
-    tables = []   # (frozen embedding, pooled table) pairs
+    table = None
     results = []
     for model_cfg, weights in runs:
         model = Model(model_cfg, seed=seed)
-        pooled = None
-        if x_norm is None:
-            pooled = _pooled_table(model, logged, stats, tables)
+        if x_norm is None and table is None:
+            table = model.pooled_normalized(logged, stats)
         train_model(model, dataset, fold.train_idx, x_norm, weights,
-                    train_cfg, seed, pooled=pooled)
+                    train_cfg, seed, pooled=table)
         x_test = (apply_normalization(logged[fold.test_idx], stats)
                   if x_norm is None else x_norm[fold.test_idx])
         probs = model.predict_proba(x_test, dataset.treatments[fold.test_idx])
@@ -366,19 +366,6 @@ def _run_fold_seed(dataset: Dataset, fold, fold_id: int, seed: int,
         results.append(FoldSeedResult(fold_id=fold_id, group=fold.group,
                                       seed=seed, metrics=metrics))
     return results
-
-
-def _pooled_table(model: Model, logged: np.ndarray, stats,
-                  tables: list) -> np.ndarray:
-    """The pooled table of `model`'s frozen embedding: the one in `tables`
-    built for an equal embedding, else a new one, added to `tables`."""
-    emb = model.params["encoder.gene_embedding"].data
-    for seen, table in tables:
-        if np.array_equal(seen, emb):
-            return table
-    table = model.pooled_normalized(logged, stats)
-    tables.append((emb, table))
-    return table
 
 
 # the dataset of a --jobs worker process, set once by `_init_worker`
@@ -513,20 +500,35 @@ def write_perfold_csv(path, reports, lead_header=()) -> None:
                                      "NA" if v is None else repr(v)])
 
 
+def aggregate_cells(report: MetricsReport):
+    """(bucket, metric, mean, ci_low, ci_high, n) for each cell of
+    `report.aggregates()`, in BUCKETS x METRIC_NAMES order; a metric that
+    is NA in every fold of a bucket has no cell."""
+    agg = report.aggregates()
+    return ((b, m, *agg[b][m]) for b in BUCKETS for m in METRIC_NAMES
+            if m in agg[b])
+
+
+def write_aggregate_csv(path, reports, lead_header=()) -> None:
+    """One record per `aggregate_cells` cell of each (lead cells,
+    MetricsReport) pair of `reports`, floats as `repr` writes them; csv
+    quotes a cell that needs it, such as a method name with a comma."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow([*lead_header, "bucket", "metric", "mean", "ci_low",
+                         "ci_high", "n"])
+        for lead, report in reports:
+            for bucket, metric, mean, lo, hi, n in aggregate_cells(report):
+                writer.writerow([*lead, bucket, metric,
+                                 repr(mean), repr(lo), repr(hi), n])
+
+
 def emit_report(report: MetricsReport, out_dir) -> None:
     if not report.rows:
         raise ValueError("cannot emit an empty report")
     os.makedirs(out_dir, exist_ok=True)
     write_perfold_csv(os.path.join(out_dir, "perfold.csv"), [((), report)])
-    with open(os.path.join(out_dir, "aggregate.csv"), "w") as f:
-        f.write("bucket,metric,mean,ci_low,ci_high,n\n")
-        agg = report.aggregates()
-        for bucket in BUCKETS:
-            for metric in METRIC_NAMES:
-                if metric not in agg.get(bucket, {}):
-                    continue
-                mean, lo, hi, n = agg[bucket][metric]
-                f.write(f"{bucket},{metric},{mean!r},{lo!r},{hi!r},{n}\n")
+    write_aggregate_csv(os.path.join(out_dir, "aggregate.csv"), [((), report)])
     for metric in METRIC_NAMES:
         _write_metric_svg(report, metric,
                           os.path.join(out_dir, f"{metric}.svg"))

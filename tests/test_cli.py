@@ -238,6 +238,18 @@ class TestErrors:
             err = capsys.readouterr().err
             assert "error:" in err and named in err, (text, err)
 
+    def test_bad_synthetic_value_fails_before_writing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("synthetic:\n  n_cohorts: 2\n"
+                       "  samples_per_cohort: [true, 10]\n")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(bad),
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert ("error: config section 'synthetic': samples_per_cohort must "
+                "hold integers >= 1, got (True, 10)") in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_out_of_range_jobs_flag_fails(self, config_path, tmp_path, capsys,
                                           jobs):

@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -477,11 +478,32 @@ class TestSyntheticGenerator:
         auc = roc_auc(truth.oracle_scores[held_out], ds.response[held_out])
         assert auc >= 0.9
 
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            SyntheticSpec(signal_strength=-1.0)
-        with pytest.raises(ValueError):
-            SyntheticSpec(n_cohorts=3, samples_per_cohort=(10, 10))
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(signal_strength=-1.0), "signal_strength must be >= 0"),
+        (dict(n_cohorts=3, samples_per_cohort=(10, 10)),
+         "samples_per_cohort length must equal n_cohorts"),
+        (dict(n_cohorts=0, samples_per_cohort=()), "n_cohorts must be >= 1"),
+        (dict(n_cohorts=2, samples_per_cohort=(0, 10)),
+         "samples_per_cohort must hold integers >= 1"),
+        (dict(n_cohorts=2, samples_per_cohort=(-3, 10)),
+         "samples_per_cohort must hold integers >= 1"),
+        (dict(n_cohorts=2, samples_per_cohort=(10.5, 10)),
+         "samples_per_cohort must hold integers >= 1"),
+        (dict(n_cohorts=2, samples_per_cohort=(True, 10)),
+         "samples_per_cohort must hold integers >= 1"),
+        (dict(n_genes=0), "n_genes must be >= 1"),
+        (dict(n_latents=0), "n_latents must be >= 1"),
+        (dict(noise_scale=-1.0), "noise_scale must be >= 0"),
+        (dict(seed=-1), "seed must be >= 0"),
+        (dict(biomarker_dim=-1), "biomarker_dim must be >= 0"),
+        (dict(tide_dim=-1), "tide_dim must be >= 0"),
+        (dict(ipres_dim=-1), "ipres_dim must be >= 0"),
+        (dict(pheno_dim=-1), "pheno_dim must be >= 0"),
+        (dict(active_concepts={"PD1": (0, 1)}), "active_concepts key 'PD1'"),
+    ])
+    def test_invalid_spec_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SyntheticSpec(**kwargs)
 
 
 class TestSplitByGroup:

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import pickle
@@ -21,12 +22,14 @@ from biocompass.diffcore import Adam, Tape, zero_grads
 from biocompass.evaluation import (ABLATION_CONFIGS, PROTOCOL_KEYS,
                                    AblationConfig, FoldSeedResult,
                                    MetricsReport, TrainConfig,
-                                   _targets_slice, aggregate_rows,
+                                   _distinct_runs, _targets_slice,
+                                   aggregate_cells, aggregate_rows,
                                    aggregate_seeds, compute_metrics,
                                    emit_report, make_model_config,
                                    read_perfold_csv, roc_auc, run_ablation,
                                    run_protocol, threshold_metrics,
-                                   train_model, METRIC_NAMES)
+                                   train_model, write_aggregate_csv, BUCKETS,
+                                   METRIC_NAMES)
 from biocompass import model as model_module
 from biocompass.model import Model
 from biocompass.objective import LossWeights, composite_loss
@@ -393,6 +396,23 @@ class TestPooledTable:
         with pytest.raises(ValueError, match="frozen encoder"):
             train_model(model, dataset, train_idx, x_norm, LossWeights(),
                         TrainConfig(epochs=1, mode="fft"), 5, pooled=table)
+
+    @pytest.mark.parametrize("mode, n_runs", [("pft", 4), ("fft", 5)])
+    def test_every_run_of_a_task_draws_one_embedding(self, tiny_dataset,
+                                                      mode, n_runs):
+        """`_run_fold_seed` pools a task's one table from its first model,
+        so every run it trains must draw that model's frozen embedding."""
+        runs, _ = _distinct_runs(
+            ABLATION_CONFIGS.values(),
+            make_model_config(tiny_dataset, token_dim=4, gate_hidden=4),
+            LossWeights(), mode)
+        assert len(runs) == n_runs
+        assert all(cfg.encoder == runs[0][0].encoder for cfg, _ in runs)
+        for seed in (0, 1, 7):
+            first, *rest = (Model(cfg, seed=seed)
+                            .params["encoder.gene_embedding"].data.tobytes()
+                            for cfg, _ in runs)
+            assert all(emb == first for emb in rest), seed
 
     def test_test_rows_z_score_like_the_whole_panel(self, fold_inputs):
         dataset, train_idx, _ = fold_inputs
@@ -831,6 +851,43 @@ class TestAggregateRows:
         agg = aggregate_rows(rows, {"g1": "small", "g2": "large"},
                              {"g1": 10, "g2": 30}, weighted=True)
         assert agg["all"]["accuracy"][0] == pytest.approx(0.25)
+
+
+class TestAggregateCells:
+    @staticmethod
+    def _report():
+        """Two seeds over a small and a large group; roc_auc is NA in
+        every fold."""
+        sizes = {"g1": 10, "g2": 60}
+        rows = [FoldSeedResult(i, g, seed,
+                               {**{m: 0.1 * (i + 2 * seed + 1)
+                                   for m in METRIC_NAMES}, "roc_auc": None})
+                for i, g in enumerate(sizes) for seed in (0, 1)]
+        return MetricsReport(protocol="loco", key="cohort", rows=rows,
+                             group_sizes=sizes, seeds=[0, 1])
+
+    def test_yields_the_aggregates_in_bucket_metric_order(self):
+        report = self._report()
+        agg = report.aggregates()
+        cells = list(aggregate_cells(report))
+        assert [(b, m) for b, m, *_ in cells] == [
+            (b, m) for b in BUCKETS for m in METRIC_NAMES if m != "roc_auc"]
+        assert all(tuple(rest) == agg[b][m] for b, m, *rest in cells)
+        assert len(cells) == sum(len(agg[b]) for b in agg)
+
+    def test_csv_round_trips_a_lead_cell_with_a_comma(self, tmp_path):
+        report = self._report()
+        path = tmp_path / "aggregate.csv"
+        write_aggregate_csv(path, [(("sig_a,b",), report)],
+                            lead_header=("method",))
+        with open(path, newline="") as f:
+            records = list(csv.reader(f))
+        assert records[0] == ["method", "bucket", "metric", "mean", "ci_low",
+                              "ci_high", "n"]
+        assert records[1:] == [
+            ["sig_a,b", b, m, repr(mean), repr(lo), repr(hi), str(n)]
+            for b, m, mean, lo, hi, n in aggregate_cells(report)]
+        assert path.read_text().splitlines()[1].startswith('"sig_a,b",all,')
 
 
 class TestEmitReport:
