@@ -7,6 +7,8 @@ to exactly one forward/backward cycle.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 BCE_EPS = 1e-7
@@ -48,8 +50,15 @@ class Tensor:
     needs_grad = True
 
     def __init__(self, data, context: str = "tensor"):
-        self.data = np.asarray(data, dtype=np.float64)
-        _check_finite(self.data, context)
+        # a primitive's float64 output is taken as it is; a 0-d value is
+        # checked as a Python float, a fraction of `np.isfinite`'s cost
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            data = np.asarray(data, dtype=np.float64)
+        if data.ndim:
+            _check_finite(data, context)
+        elif not math.isfinite(data):
+            raise NonFiniteError(f"non-finite value in {context}")
+        self.data = data
         self.grad = None
         self.store = None
 
@@ -58,15 +67,29 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, grad: np.ndarray) -> None:
-        # the first write copies: a backward pass may hand one array to
-        # several tensors, and a later in-place += must not reach the others
+        """Add `grad` to this tensor's gradient.
+
+        `grad` is handed over: it must be a float64 array freshly computed
+        for this tensor alone, which no other tensor holds and the caller
+        does not touch again. The first write of a step keeps it as the
+        gradient without a copy, or copies it into `store` when one is
+        set; later writes add to the gradient in place."""
         if self.grad is not None:
             self.grad += grad
         elif self.store is None:
-            self.grad = np.array(grad, dtype=np.float64)
+            self.grad = grad
         else:
             np.copyto(self.store, grad)
             self.grad = self.store
+
+    def accumulate_from(self, op, *args) -> None:
+        """`accumulate(op(*args))`, where `op` is a numpy function that
+        takes `out=`: the first write of a step into a `store` computes
+        straight into it, with no temporary."""
+        if self.grad is None and self.store is not None:
+            self.grad = op(*args, out=self.store)
+        else:
+            self.accumulate(op(*args))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -156,7 +179,7 @@ class Tape:
             if a.needs_grad:
                 a.accumulate(grad @ b.data.T)
             if b.needs_grad:
-                b.accumulate(a.data.T @ grad)
+                b.accumulate_from(np.matmul, a.data.T, grad)
 
         return self._push(out, backward)
 
@@ -175,8 +198,9 @@ class Tape:
             if x.needs_grad:
                 x.accumulate(grad @ w.data.T)
             if w.needs_grad:
-                w.accumulate(x.data.T @ grad)
-            b.accumulate(grad.sum(axis=0))
+                w.accumulate_from(np.matmul, x.data.T, grad)
+            if b.needs_grad:
+                b.accumulate_from(np.add.reduce, grad, 0)
 
         return self._push(out, backward)
 
@@ -328,12 +352,17 @@ class Adam:
 
     Their values are packed into one contiguous vector and each parameter's
     `.data` becomes a view into it; likewise each one's gradient `store` is
-    its slice of one flat gradient vector, which backward writes into
-    directly. A step checks the whole gradient vector for finiteness, then
-    runs the textbook update in place, block by block (`ADAM_BLOCK`
-    elements), in two preallocated block-sized scratch vectors. `trainable`
-    is read here, once: a parameter frozen at construction is never touched
-    by `step`, and flipping the flag later has no effect on this optimizer.
+    its slice of one flat gradient vector. Backward's first write of a step
+    lands in that slice: a weight or bias gradient of `matmul`/`linear` is
+    computed straight into it (`Tensor.accumulate_from`), any other is
+    copied in, and later writes add to it in place. A step zeroes the
+    slices of parameters that got no gradient, copies in a gradient
+    assigned from outside, checks the whole gradient vector for
+    finiteness, then runs the textbook update in place, block by block
+    (`ADAM_BLOCK` elements), in two preallocated block-sized scratch
+    vectors. `trainable` is read here, once: a parameter frozen at
+    construction is never touched by `step`, and flipping the flag later
+    has no effect on this optimizer.
     """
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,

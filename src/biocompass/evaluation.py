@@ -3,6 +3,7 @@ confidence intervals, the ablation runner, and report emission."""
 from __future__ import annotations
 
 import csv
+import math
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -127,6 +128,10 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        for name in ("lr", "epochs", "batch_size"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(

@@ -7,6 +7,7 @@ weight to zero, which also keeps gradients out of the corresponding head.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("cls", "pathway", "align", "aux"):
+            # a NaN weight would fail every `> 0` test and drop its term
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"loss weight {name} must be finite, "
+                                 f"got {getattr(self, name)}")
             if getattr(self, name) < 0:
                 raise ValueError(f"loss weight {name} must be nonnegative")
         if self.cls <= 0:

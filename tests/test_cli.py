@@ -250,6 +250,18 @@ class TestErrors:
                 "hold integers >= 1, got (True, 10)") in err, err
         assert not out.exists()
 
+    def test_nan_loss_weight_fails_before_writing(self, tmp_path, capsys):
+        # NaN fails `align > 0`, so it would train without the alignment term
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("weights: {align: .nan}\n")
+        out = tmp_path / "out"
+        assert main(["eval", "--config", str(bad),
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert ("error: config section 'weights': loss weight align must "
+                "be finite, got nan") in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_out_of_range_jobs_flag_fails(self, config_path, tmp_path, capsys,
                                           jobs):

@@ -256,6 +256,15 @@ class TestBackward:
                 tape.matmul(big, big)
             with pytest.raises(NonFiniteError, match="weighted_sum"):
                 tape.weighted_sum([big], [1e300])
+            # a 0-d output is checked as a scalar
+            with pytest.raises(NonFiniteError, match="mse"):
+                tape.mse(big, np.zeros((1, 1)))
+        for value in (np.nan, np.float64("inf"), -np.inf):
+            with pytest.raises(NonFiniteError, match="tensor"):
+                Tensor(value)
+        for ints in ([1, 2], np.array([1, 2])):
+            assert Tensor(ints).data.dtype == np.float64
+            np.testing.assert_array_equal(Tensor(ints).data, [1.0, 2.0])
 
     def test_largest_finite_values_accepted(self):
         # the check is exact: no shortcut that overflows on a finite input
@@ -276,6 +285,38 @@ class TestBackward:
         dy = a.data + b.data
         np.testing.assert_array_equal(b.grad, dy)
         np.testing.assert_array_equal(a.grad, dy + 2.0 * (2.0 * a.data))
+
+    def test_parameter_gradient_computed_into_its_store(self):
+        # w and b feed two `linear`s and w one `matmul`: the first write
+        # (the matmul's, as backward runs in reverse) is computed into
+        # Adam's slice, the later two add to it; the values are those of
+        # the same graph on plain tensors, which keep their own arrays
+        rng = np.random.default_rng(0)
+        xs = [rng.normal(size=(5, 3)) for _ in range(3)]
+        w_vals, b_vals = rng.normal(size=(3, 2)), rng.normal(size=2)
+
+        def run(w, b):
+            tape = Tape()
+            ys = [tape.linear(tape.constant(xs[0]), w, b),
+                  tape.linear(tape.constant(xs[1]), w, b),
+                  tape.matmul(tape.constant(xs[2]), w)]
+            loss = tape.weighted_sum(
+                [tape.mse(y, np.zeros((5, 2))) for y in ys], [1.0, 0.5, 2.0])
+            backward(loss, tape)
+            return [y.grad for y in ys]
+
+        w, b = Parameter("w", w_vals), Parameter("b", b_vals)
+        Adam([w, b])
+        g = run(w.tensor, b.tensor)
+        plain_w, plain_b = Tensor(w_vals), Tensor(b_vals)
+        run(plain_w, plain_b)
+        assert w.tensor.grad is w.tensor.store
+        assert b.tensor.grad is b.tensor.store
+        products = (xs[2].T @ g[2] + xs[1].T @ g[1]) + xs[0].T @ g[0]
+        assert w.grad.tobytes() == products.tobytes()
+        assert w.grad.tobytes() == plain_w.grad.tobytes()
+        assert b.grad.tobytes() == (g[1].sum(axis=0) + g[0].sum(axis=0)).tobytes()
+        assert b.grad.tobytes() == plain_b.grad.tobytes()
 
     def test_constant_takes_no_gradient(self):
         # a constant between two parameters: their gradients are the same

@@ -278,7 +278,46 @@ def fold_inputs():
     return dataset, fold.train_idx, x_norm
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["lr", "epochs", "batch_size",
+                                      "threshold"])
+    def test_non_finite_value_rejected(self, name, value):
+        # an infinite lr would pass `lr > 0` and fail only at the first
+        # step, as a non-finite value in `linear`
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got "):
+            TrainConfig(**{name: value})
+
+
 class TestTrainModel:
+    @pytest.mark.parametrize("mode", ["pft", "fft"])
+    def test_gradients_on_a_step_tape_never_share_memory(
+            self, fold_inputs, monkeypatch, mode):
+        # `Tensor.accumulate` keeps a first write without copying it, so
+        # every backward must hand each tensor an array of its own
+        dataset, train_idx, x_norm = fold_inputs
+        model = Model(make_model_config(dataset), seed=0)
+        checked = []
+        backward = diffcore.backward
+
+        def checking_backward(loss, tape):
+            backward(loss, tape)
+            tensors = [out for out, _ in tape._records]
+            tensors += [p.tensor for p in model.params.values()]
+            grads = [t.grad for t in tensors
+                     if isinstance(t.grad, np.ndarray)]
+            for i, g in enumerate(grads):
+                for h in grads[i + 1:]:
+                    assert not np.shares_memory(g, h)
+            checked.append(len(grads))
+
+        monkeypatch.setattr(diffcore, "backward", checking_backward)
+        train_model(model, dataset, train_idx, x_norm, LossWeights(),
+                    TrainConfig(epochs=1, batch_size=len(train_idx),
+                                mode=mode), seed=0)
+        # one step, with gradients on a few dozen tensors
+        assert len(checked) == 1 and checked[0] > 20
+
     def train_both(self, fold_inputs, mode):
         dataset, train_idx, x_norm = fold_inputs
         cfg = TrainConfig(epochs=4, lr=1e-2, mode=mode)

@@ -17,6 +17,13 @@ class TestLossWeights:
         with pytest.raises(ValueError, match="positive"):
             LossWeights(cls=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["cls", "pathway", "align", "aux"])
+    def test_non_finite_weight_rejected(self, name, value):
+        # a NaN weight would drop its term, since `nan > 0` is False
+        with pytest.raises(ValueError, match=f"loss weight {name} must be finite"):
+            LossWeights(**{name: value})
+
 
 def breakdown_for(rng, edit, weights=LossWeights(1.0, 1.0, 1.0, 1.0)):
     """`composite_loss`'s breakdown on a random batch whose targets `edit`
