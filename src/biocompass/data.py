@@ -12,6 +12,8 @@ every target block.
 from __future__ import annotations
 
 import csv
+import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -194,6 +196,13 @@ def _reject_cells(path, bad: np.ndarray, cols: list, what: str) -> None:
         raise SchemaError(f"{path}: row {i + 2}: {what} in column {cols[j]!r}")
 
 
+def _count_breaks(byte: np.ndarray) -> int:
+    r"""The line breaks in a uint8 array: each \n, \r and \r\n once."""
+    lf, cr = byte == ord("\n"), byte == ord("\r")
+    return int(np.count_nonzero(lf) + np.count_nonzero(cr)
+               - np.count_nonzero(cr[:-1] & lf[1:]))
+
+
 def _line_breaks(path) -> int:
     r"""The line breaks of a file: each \n, \r and \r\n counts once (a \r\n
     split across two reads counts twice). csv ends a record at each, so a
@@ -202,32 +211,86 @@ def _line_breaks(path) -> int:
     breaks = 0
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):
-            byte = np.frombuffer(chunk, dtype=np.uint8)
-            lf, cr = byte == ord("\n"), byte == ord("\r")
-            breaks += (np.count_nonzero(lf) + np.count_nonzero(cr)
-                       - np.count_nonzero(cr[:-1] & lf[1:]))
-    return int(breaks)
+            breaks += _count_breaks(np.frombuffer(chunk, dtype=np.uint8))
+    return breaks
+
+
+def _raise_undecodable(path) -> None:
+    """SchemaError naming the line (as `_line_breaks` counts them) of the
+    file's first byte that is not UTF-8. Decodes the whole file, so it runs
+    only after a read has failed."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = _count_breaks(np.frombuffer(raw[:exc.start], dtype=np.uint8)) + 1
+        raise SchemaError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} "
+                          f"is not UTF-8 ({exc.reason})") from None
+
+
+def _check_field_sizes(line: str, limit: int) -> None:
+    """csv's field size limit on a line that is split on commas: from each
+    field start, the last comma within `limit` + 1 characters begins the
+    next window, so a line costs about len(line) / limit searches."""
+    start = 0
+    while len(line) - start > limit:
+        comma = line.rfind(",", start, start + limit + 1)
+        if comma < 0:
+            raise csv.Error(f"field larger than field limit ({limit})")
+        start = comma + 1
 
 
 def _records(path, f):
-    """The CSV records of `f` with their row numbers, the header's being 1.
-    Blank lines are skipped and not counted. A record that csv cannot parse
-    (a cell over its field size limit, say) is a SchemaError naming its row."""
+    """The CSV records of `f` (opened with newline="") with their row
+    numbers, the header's being 1. Blank lines are skipped and not counted.
+
+    A line without a `"` is split on commas once its line terminator is
+    removed, which is the record csv makes of it. A line with a `"` is read
+    by `csv.reader`, together with the lines that its quoted cell spans. A
+    record that csv cannot parse (a cell over its field size limit, say)
+    and a byte that is not UTF-8 are SchemaErrors naming the row or line."""
     row_no = 0
+    limit = csv.field_size_limit()
     try:
-        for row in csv.reader(f):
+        for line in f:
+            if '"' in line:
+                row = next(csv.reader(itertools.chain((line,), f)))
+            else:
+                # a line holds no \r or \n but its one terminator
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                if len(line) > limit:
+                    _check_field_sizes(line, limit)
+                row = line.split(",")
             if row:
                 row_no += 1
                 yield row_no, row
     except csv.Error as exc:
         raise SchemaError(f"{path}: row {row_no + 1}: {exc}") from None
+    except UnicodeDecodeError:
+        _raise_undecodable(path)
+        raise
+
+
+def _gather(columns: list):
+    """A callable that takes a row's cells at the given column indices: one
+    list slice when they are contiguous, as `write_csv` lays out each
+    block, else a gather per position."""
+    lo = columns[0] if columns else 0
+    if columns == list(range(lo, lo + len(columns))):
+        return operator.itemgetter(slice(lo, lo + len(columns)))
+    return lambda row: [row[j] for j in columns]
 
 
 def load_csv(path) -> Dataset:
-    """Each row's numeric blocks are written straight into matrices sized
-    from a first pass that counts line breaks, so loading holds one copy of
-    the expression matrix plus a row's worth of text."""
-    with open(path, newline="") as f:
+    """Read a cohort CSV: UTF-8, with or without a byte-order mark. Lines
+    without a `"` are split on commas and the rest read by `csv.reader`
+    (see `_records`). Each row's numeric blocks are written straight into
+    matrices sized from a first pass that counts line breaks, so loading
+    holds one copy of the expression matrix plus a row's worth of text."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
         records = _records(path, f)
         _, header = next(records, (1, None))
         if header is None:
@@ -247,9 +310,11 @@ def load_csv(path) -> Dataset:
         if blocks["pw"] and len(blocks["pw"]) != N_PATHWAYS:
             raise SchemaError(f"{path}: expected {N_PATHWAYS} pw_ columns, "
                               f"found {len(blocks['pw'])}")
-        # the column indices of each field, resolved once from the header
-        reserved = [position[c] for c in RESERVED_COLUMNS]
-        take = {name: [position[c] for c in cols] for name, cols in blocks.items()}
+        # the cells of each field, taken by callables resolved once from
+        # the header
+        reserved = operator.itemgetter(*(position[c] for c in RESERVED_COLUMNS))
+        take = {name: _gather([position[c] for c in cols])
+                for name, cols in blocks.items()}
 
         capacity = _line_breaks(path)
         expression = np.empty((capacity, len(blocks["expr"])))
@@ -265,8 +330,7 @@ def load_csv(path) -> Dataset:
             if len(row) != n_cols:
                 raise SchemaError(f"{path}: row {row_no}: ragged row "
                                   f"(expected {n_cols} cells)")
-            sample_id, cohort_id, cancer_type, token, resp = (
-                row[j] for j in reserved)
+            sample_id, cohort_id, cancer_type, token, resp = reserved(row)
             for key, cell in (("sample_id", sample_id), ("cohort_id", cohort_id),
                               ("cancer_type", cancer_type)):
                 if not cell.strip():
@@ -286,7 +350,7 @@ def load_csv(path) -> Dataset:
                     f"(first in row {sample_rows[sample_id]})")
             i = len(sample_rows)
             sample_rows[sample_id] = row_no
-            _parse_float_block([row[j] for j in take["expr"]], blocks["expr"],
+            _parse_float_block(take["expr"](row), blocks["expr"],
                                row_no, path, expression[i], expr_mask)
             if not expr_mask.all():
                 missing = blocks["expr"][int(np.argmin(expr_mask))]
@@ -299,7 +363,7 @@ def load_csv(path) -> Dataset:
             rows["multihot"].append(treatment.multihot())
             rows["response"].append(int(resp))
             for name, (values, mask) in targets.items():
-                _parse_float_block([row[j] for j in take[name]], blocks[name],
+                _parse_float_block(take[name](row), blocks[name],
                                    row_no, path, values[i], mask[i])
 
     n = len(sample_rows)
@@ -357,7 +421,7 @@ def write_csv(dataset: Dataset, path) -> None:
     header += [f"tide_{j + 1}" for j in range(dataset.tide.shape[1])]
     header += [f"ipres_{j + 1}" for j in range(dataset.ipres.shape[1])]
     header += [f"pheno_{j + 1}" for j in range(dataset.pheno.shape[1])]
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         for i in range(len(dataset)):

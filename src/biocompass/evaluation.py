@@ -26,6 +26,26 @@ SMALL_COHORT_THRESHOLD = 50
 PROTOCOL_KEYS = {"loco": "cohort", "locto": "cancer_type", "loto": "treatment"}
 
 
+# The 97.5% Student-t quantile `scipy.special.stdtrit(df, 0.975)` for df
+# 1-39, i.e. 2-40 seeds: scipy.special adds about 0.2 s to a start-up,
+# so it is imported only for more seeds.
+T_975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087, 2.085963447265864, 2.0796138447276795,
+    2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
+    2.0484071417952454, 2.045229642132703, 2.0422724563012378,
+    2.039513446396408, 2.0369333434601016, 2.0345152974493383,
+    2.0322445093177186, 2.030107928250343, 2.0280940009804502,
+    2.0261924630291093, 2.0243941639119694, 2.022690920036761,
+)
+
+
 # ---- metrics ----------------------------------------------------------
 
 
@@ -107,11 +127,12 @@ def aggregate_seeds(values) -> tuple[float, float, float]:
     if n == 1:
         warnings.warn("single seed: confidence interval degenerates to the mean")
         return mean, mean, mean
-    # imported here: scipy.special adds about 0.2 s to every start-up, and
-    # one-seed runs never get this far
-    from scipy.special import stdtrit
+    if n - 1 <= len(T_975):
+        t = T_975[n - 2]
+    else:
+        from scipy.special import stdtrit
+        t = float(stdtrit(n - 1, 0.975))
     s = float(values.std(ddof=1))
-    t = float(stdtrit(n - 1, 0.975))  # the 97.5% Student-t quantile
     half = t * s / float(np.sqrt(n))
     return mean, mean - half, mean + half
 

@@ -371,3 +371,29 @@ class TestCsvInput:
         assert main(["schema", "--dataset", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"error: {path}: row 3: field larger than field limit" in err
+
+    def test_oversized_header_cell_fails_with_error(self, config_path,
+                                                    tmp_path, capsys):
+        lines = self._synth_csv(config_path, tmp_path)
+        lines[0] = "s" * 200000 + lines[0]
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["schema", "--dataset", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: {path}: row 1: field larger than field limit "
+                f"({csv.field_size_limit()})") in err, err
+
+    def test_undecodable_byte_names_path_and_line(self, config_path,
+                                                  tmp_path, capsys):
+        lines = self._synth_csv(config_path, tmp_path)
+        lines[2] = lines[2].replace(",", ",\udcff", 1)
+        path = tmp_path / "latin.csv"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape")
+                         + b"\n")
+        out = tmp_path / "out"
+        assert main(["eval", "--config", config_path, "--dataset", str(path),
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: {path}: line 3: byte 0xff is not UTF-8 "
+                "(invalid start byte)") in err, err
+        assert not out.exists()

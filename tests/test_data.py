@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import tempfile
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from biocompass.data import (Dataset, SchemaError, SyntheticSpec,
-                             fit_normalization, generate_synthetic,
+                             _records, fit_normalization, generate_synthetic,
                              generate_synthetic_with_truth, load_csv,
                              normalize, split_by_group, write_csv)
 from biocompass.evaluation import roc_auc
@@ -224,6 +225,119 @@ class TestParser:
         assert list(got.cohort_ids) == list(want.cohort_ids)
         assert got.expression.tobytes() == want.expression.tobytes()
         assert got.pathway.tobytes() == want.pathway.tobytes()
+
+
+class TestEncoding:
+    def _written(self, tmp_path):
+        ds = generate_synthetic(SyntheticSpec(
+            n_cohorts=2, samples_per_cohort=(5, 6), n_genes=7, n_latents=2,
+            seed=3, active_concepts={"PD-1": (0,), "PD-L1": (1,)}))
+        path = tmp_path / "plain.csv"
+        write_csv(ds, path)
+        return path
+
+    def test_byte_order_mark_loads_like_plain_file(self, tmp_path):
+        plain = self._written(tmp_path)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_csv(plain), load_csv(bom)
+        assert got.gene_names == want.gene_names
+        assert got.sample_ids == want.sample_ids
+        assert got.biomarker_names == want.biomarker_names
+        for name in ("cohort_ids", "cancer_types", "treatment_tokens"):
+            assert list(getattr(got, name)) == list(getattr(want, name)), name
+        for name in ("expression", "response", "treatments", "pathway",
+                     "pathway_mask", "biomarkers", "biomarker_mask", "tide",
+                     "tide_mask", "ipres", "ipres_mask", "pheno", "pheno_mask"):
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes()), name
+
+    def test_non_ascii_cells_round_trip_as_utf8(self, tmp_path):
+        ds = load_csv(self._written(tmp_path))
+        ds.sample_ids[0] = "patient-é"
+        ds.cohort_ids[0] = "Zürich"
+        path = tmp_path / "utf8.csv"
+        write_csv(ds, path)
+        assert "patient-é,Zürich".encode("utf-8") in path.read_bytes()
+        loaded = load_csv(path)
+        assert loaded.sample_ids[0] == "patient-é"
+        assert loaded.cohort_ids[0] == "Zürich"
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, ending):
+        # a blank line counts as a line; a BOM does not shift the count
+        rows = [WIDE_HEADER, wide_row("s1"), "", wide_row("s2"),
+                wide_row("s3", cohort="c\udce9")]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + ending.join(rows).encode(
+            "utf-8", "surrogateescape"))
+        with pytest.raises(SchemaError) as exc:
+            load_csv(path)
+        assert str(exc.value) == (f"{path}: line 5: byte 0xe9 is not UTF-8 "
+                                  "(invalid continuation byte)")
+
+
+class TestTokenizer:
+    """`_records` splits quote-free lines itself; csv.reader is its oracle."""
+
+    def test_scattered_block_loads_like_contiguous_block(self, tmp_path):
+        want = load_csv(make_csv(tmp_path, [wide_row("s1"), wide_row("s2")],
+                                 header=WIDE_HEADER))
+        # bm_y, expr_g1 and bm_x move to the front
+        order = [60, 6, 59, *range(6), *range(7, 59), 61, 62, 63]
+        table = [line.split(",") for line in
+                 [WIDE_HEADER, wide_row("s1"), wide_row("s2")]]
+        assert sorted(order) == list(range(len(table[0])))
+        path = tmp_path / "scattered.csv"
+        path.write_text("".join(",".join(r[j] for j in order) + "\n"
+                                for r in table))
+        got = load_csv(path)
+        assert got.gene_names == ["g1", "g0", *WIDE_GENES[2:]]
+        np.testing.assert_array_equal(got.expression[:, [1, 0]],
+                                      want.expression[:, :2])
+        np.testing.assert_array_equal(got.expression[:, 2:],
+                                      want.expression[:, 2:])
+        assert got.biomarker_names == ["y", "x"]
+        np.testing.assert_array_equal(got.biomarkers, want.biomarkers[:, ::-1])
+        assert got.pathway.tobytes() == want.pathway.tobytes()
+        assert got.pheno.tobytes() == want.pheno.tobytes()
+
+
+def _csv_oracle(path):
+    """csv.reader's records with blank rows dropped, and the error that
+    `_records` should raise in its place, or None."""
+    records = []
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        try:
+            for row in csv.reader(f):
+                if row:
+                    records.append((len(records) + 1, row))
+        except csv.Error as exc:
+            return records, f"{path}: row {len(records) + 1}: {exc}"
+    return records, None
+
+
+@given(st.text(st.sampled_from([",", '"', "\r", "\n", " ", "0", "7", "a",
+                                "Z", "é"]), max_size=80),
+       st.integers(0, 12))
+@settings(max_examples=400, deadline=None)
+def test_records_match_csv_reader(text, limit):
+    old_limit = csv.field_size_limit(limit)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cohort.csv")
+            with open(path, "w", newline="", encoding="utf-8") as f:
+                f.write(text)
+            want, error = _csv_oracle(path)
+            got = []
+            with open(path, newline="", encoding="utf-8-sig") as f:
+                try:
+                    got.extend(_records(path, f))
+                except SchemaError as exc:
+                    got.append(str(exc))
+    finally:
+        csv.field_size_limit(old_limit)
+    assert got == want + ([error] if error else [])
 
 
 def test_load_peak_memory_is_about_one_expression_matrix(tmp_path):

@@ -29,7 +29,7 @@ from biocompass.evaluation import (ABLATION_CONFIGS, PROTOCOL_KEYS,
                                    read_perfold_csv, roc_auc, run_ablation,
                                    run_protocol, threshold_metrics,
                                    train_model, write_aggregate_csv, BUCKETS,
-                                   METRIC_NAMES)
+                                   METRIC_NAMES, T_975)
 from biocompass import model as model_module
 from biocompass.model import Model
 from biocompass.objective import LossWeights, composite_loss
@@ -160,6 +160,12 @@ class TestAggregateSeeds:
         half = (float(stats.t.ppf(0.975, n - 1)) * float(values.std(ddof=1))
                 / float(np.sqrt(n)))
         assert aggregate_seeds(values) == (mean, mean - half, mean + half)
+
+    def test_t_constants_are_scipy_stdtrit_bit_for_bit(self):
+        from scipy.special import stdtrit
+        assert len(T_975) == 39
+        for df, t in enumerate(T_975, start=1):
+            assert t == float(stdtrit(df, 0.975)), df
 
     def test_permutation_invariance(self):
         a = aggregate_seeds([0.5, 0.9, 0.7])
@@ -1022,17 +1028,21 @@ emit_report(report, sys.argv[1])
 print("scipy" in sys.modules)
 aggregate_seeds([0.5, 0.75])
 print("scipy.special" in sys.modules)
+aggregate_seeds([0.5, 0.75] * 20 + [0.6])
+print("scipy.special" in sys.modules)
 """
 
 
 def test_cli_import_loads_no_scipy_yaml_or_process_pool(tmp_path):
     """Each is imported by the code that needs it: scipy by baselines and
-    multi-seed intervals, yaml by --config, the process pool by jobs > 1.
-    A one-seed run through its report never loads scipy."""
+    intervals over more than 40 seeds, yaml by --config, the process pool
+    by jobs > 1. A one-seed run through its report and a two-seed interval
+    never load scipy."""
     src = os.path.dirname(os.path.dirname(biocompass.__file__))
     out = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, check=True)
-    assert out.stdout.split("\n")[:3] == ["False False False", "False", "True"]
+    assert out.stdout.split("\n")[:4] == ["False False False", "False",
+                                          "False", "True"]
     assert (tmp_path / "aggregate.csv").exists()
