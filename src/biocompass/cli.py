@@ -16,9 +16,10 @@ import numpy as np
 from . import baselines as baselines_mod
 from . import data as data_mod
 from . import evaluation as eval_mod
-from .evaluation import (AblationConfig, TrainConfig, make_model_config,
-                         run_protocol, run_ablation, emit_report,
-                         train_model, aggregate_cells, write_aggregate_csv,
+from .evaluation import (PROTOCOL_KEYS, AblationConfig, TrainConfig,
+                         make_model_config, run_protocol, run_ablation,
+                         emit_report, fold_inputs, train_model,
+                         aggregate_cells, write_aggregate_csv,
                          write_perfold_csv)
 from .model import Model, build_checked
 from .objective import LossWeights
@@ -52,16 +53,10 @@ class ExperimentConfig:
                              f"got {self.seeds}")
         if self.jobs < 1:
             raise ValueError(f"'jobs' must be >= 1, got {self.jobs}")
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        import yaml  # only --config reads YAML
-        with open(path) as f:
-            raw = yaml.safe_load(f) or {}
-        if not isinstance(raw, dict):
-            raise ValueError(f"config file must be a mapping, "
-                             f"got {type(raw).__name__}")
-        return build_checked(cls, raw, "config file")
+        if self.protocol not in PROTOCOL_KEYS:
+            raise ValueError(f"'protocol' must be one of "
+                             f"{', '.join(PROTOCOL_KEYS)}, "
+                             f"got {self.protocol!r}")
 
     def loss_weights(self) -> LossWeights:
         return build_checked(LossWeights, self.weights, "config section 'weights'")
@@ -100,6 +95,17 @@ def _synth_kwargs(d: dict) -> dict:
     return d
 
 
+def _read_config(path) -> dict:
+    """The YAML mapping of a config file; an empty file is `{}`."""
+    import yaml  # only --config reads YAML
+    with open(path) as f:
+        raw = yaml.safe_load(f) or {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"config file must be a mapping, "
+                         f"got {type(raw).__name__}")
+    return raw
+
+
 def _seed(token: str, source: str) -> int:
     try:
         return int(token)
@@ -111,9 +117,10 @@ def _seed(token: str, source: str) -> int:
 def _build_config(args) -> ExperimentConfig:
     """The config file (or the defaults) with the flags applied on top; the
     result is rebuilt with `replace`, so a flag value passes the same checks
-    as a value from the file."""
-    cfg = (ExperimentConfig.from_file(args.config) if args.config
-           else ExperimentConfig())
+    as a value from the file. BIOCOMPASS_SEED applies when neither the
+    file nor `--seed-list` sets the seeds."""
+    raw = _read_config(args.config) if args.config else {}
+    cfg = build_checked(ExperimentConfig, raw, "config file")
     flags = {}
     if getattr(args, "dataset", None):
         flags["dataset_csv"] = args.dataset
@@ -128,7 +135,7 @@ def _build_config(args) -> ExperimentConfig:
     if getattr(args, "seed_list", None):
         flags["seeds"] = [_seed(s, "--seed-list")
                           for s in args.seed_list.split(",")]
-    elif not args.config and os.environ.get("BIOCOMPASS_SEED"):
+    elif "seeds" not in raw and os.environ.get("BIOCOMPASS_SEED"):
         flags["seeds"] = [_seed(os.environ["BIOCOMPASS_SEED"],
                                 "BIOCOMPASS_SEED")]
     if getattr(args, "mode", None):
@@ -175,10 +182,11 @@ def cmd_train(args) -> int:
     seed = cfg.seeds[0]
     model_cfg, weights = cfg.ablation_config().apply(model_cfg,
                                                      cfg.loss_weights())
-    x_norm, _ = data_mod.normalize(dataset, np.arange(len(dataset)))
     model = Model(model_cfg, seed=seed)
-    history = train_model(model, dataset, np.arange(len(dataset)), x_norm,
-                          weights, train_cfg, seed)
+    train_idx = np.arange(len(dataset))
+    x_norm, table = fold_inputs(model, dataset, train_idx, train_cfg.mode)
+    history = train_model(model, dataset, train_idx, x_norm, weights,
+                          train_cfg, seed, pooled=table)
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt = os.path.join(cfg.out_dir, "model.npz")
     model.save(ckpt)

@@ -303,8 +303,11 @@ def load_csv(path) -> Dataset:
         for col in RESERVED_COLUMNS:
             if col not in position:
                 raise SchemaError(f"{path}: missing reserved column {col!r}")
-        blocks = {name: [c for c in header if c.startswith(name + "_")]
-                  for name in ("expr", "pw", "bm", *AUX_TASKS)}
+        blocks = {name: [] for name in ("expr", "pw", "bm", *AUX_TASKS)}
+        for col in header:
+            name, sep, _ = col.partition("_")
+            if sep and name in blocks:
+                blocks[name].append(col)
         if not blocks["expr"]:
             raise SchemaError(f"{path}: no expr_ columns found")
         if blocks["pw"] and len(blocks["pw"]) != N_PATHWAYS:

@@ -11,8 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diffcore
-from .data import (Dataset, apply_normalization, fit_normalization, normalize,
-                   split_by_group)
+from .data import Dataset, fit_normalization, normalize, split_by_group
 from .diffcore import (Adam, Constant, NonFiniteError, Tape, check_labels,
                        zero_grads)
 from .model import (AUX_TASKS, SIDE_HEADS, Model, ModelConfig, EncoderConfig,
@@ -198,11 +197,11 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
     parameter changes; it raises what the step's primitive would raise on
     the raw array. With the encoder frozen, pooling is the same at every
     step, so the training rows are pooled once, outside the step tapes:
-    `pooled`, when given, holds every sample's pooled row
-    (`Model.pooled_normalized`) and the loop scans and reads its training
-    rows, so `x_norm` may be None; without it, `x_norm[train_idx]` is
-    pooled. With the encoder trained, `x_norm`'s training rows are checked
-    for finiteness once, and `pooled` is refused. The
+    `pooled`, when given, is the fold's table of every sample's pooled row
+    (`fold_inputs`) and the loop scans and reads its training rows, so
+    `x_norm` may be None; without it, `x_norm[train_idx]` is pooled. With
+    the encoder trained, `x_norm`'s training rows are checked for
+    finiteness once, and `pooled` is refused. The
     treatment rows pass `treatment_constant` (the gate's checks) and the
     response labels `check_labels` (the BCE's check). Each epoch permutes
     these checked constants and each step takes its rows as slices of
@@ -358,36 +357,56 @@ def make_model_config(dataset: Dataset, token_dim: int = 16,
     )
 
 
+def fold_inputs(model: Model, dataset: Dataset, train_idx: np.ndarray,
+                mode: str) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """`(x_norm, table)`, what `train_model` reads for one fold, with the
+    normalisation statistics fit on `train_idx` only.
+
+    Under FFT the encoder trains, so each step pools the z-scored panel
+    `x_norm` (`normalize`) on its tape, and there is no table. Under PFT
+    the encoder is frozen and a sample's pooled row is the same at every
+    step: `table` holds every sample's, test rows included, pooled once
+    by `model` straight from log-expression (`Model.pooled_normalized`),
+    and no panel is z-scored."""
+    if mode != "pft":
+        x_norm, _ = normalize(dataset, train_idx)
+        return x_norm, None
+    logged = dataset.log_expression
+    return None, model.pooled_normalized(
+        logged, fit_normalization(logged, train_idx))
+
+
 def _run_fold_seed(dataset: Dataset, fold, fold_id: int, seed: int,
                    runs: list, train_cfg: TrainConfig) -> list:
-    """One fold x seed task: fit the fold's normalisation statistics on its
-    training rows once, then train each (model config, loss weights) pair
-    of `runs` from a fresh initialisation on those rows and score it on the
-    z-scored test rows. Returns one FoldSeedResult per run.
+    """One fold x seed task: build the fold's inputs once (`fold_inputs`,
+    from the task's first model), then train each (model config, loss
+    weights) pair of `runs` from a fresh initialisation on the training
+    rows and score it on the test rows. Returns one FoldSeedResult per run.
 
-    Under FFT the panel is z-scored once, for every run. Under PFT no
-    panel is z-scored: the task's first model pools every sample once,
-    straight from log-expression (`Model.pooled_normalized`), and every run
-    trains on that table, as `Model(cfg, seed)` draws the frozen embedding
-    first and the runs differ only in gating and loss weights. Only the
-    test rows are z-scored, for scoring, as the panel's rows would be."""
-    logged = dataset.log_expression
-    if train_cfg.mode == "pft":
-        x_norm, stats = None, fit_normalization(logged, fold.train_idx)
-    else:
-        x_norm, stats = normalize(dataset, fold.train_idx)
-    table = None
+    Under FFT every run trains on the one z-scored panel and is scored with
+    `predict_proba` on its test rows. Under PFT every run trains on the one
+    pooled table, as `Model(cfg, seed)` draws the frozen embedding first
+    and the runs differ only in gating and loss weights, and is scored on
+    the table's test rows through `Model.head`, the call each training
+    step makes."""
+    test_idx = fold.test_idx
+    treatments = dataset.treatments[test_idx]
     results = []
-    for model_cfg, weights in runs:
+    for i, (model_cfg, weights) in enumerate(runs):
         model = Model(model_cfg, seed=seed)
-        if x_norm is None and table is None:
-            table = model.pooled_normalized(logged, stats)
+        if i == 0:
+            x_norm, table = fold_inputs(model, dataset, fold.train_idx,
+                                        train_cfg.mode)
         train_model(model, dataset, fold.train_idx, x_norm, weights,
                     train_cfg, seed, pooled=table)
-        x_test = (apply_normalization(logged[fold.test_idx], stats)
-                  if x_norm is None else x_norm[fold.test_idx])
-        probs = model.predict_proba(x_test, dataset.treatments[fold.test_idx])
-        metrics = compute_metrics(probs, dataset.response[fold.test_idx],
+        if table is None:
+            probs = model.predict_proba(x_norm[test_idx], treatments)
+        else:
+            pooled = Constant(table[test_idx],
+                              context="the test rows of the pooled table")
+            probs = model.head(Tape(), pooled, treatments,
+                               heads=()).prob.data.ravel()
+        metrics = compute_metrics(probs, dataset.response[test_idx],
                                   train_cfg.threshold)
         results.append(FoldSeedResult(fold_id=fold_id, group=fold.group,
                                       seed=seed, metrics=metrics))

@@ -4,9 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from biocompass import data, evaluation
 from biocompass.cli import main
 from biocompass.data import load_csv
+from biocompass.evaluation import TrainConfig, make_model_config, train_model
 from biocompass.model import Model
+from biocompass.objective import LossWeights
 
 
 SMALL_SYNTH = """\
@@ -72,6 +75,43 @@ class TestTrain:
         lines = (out / "training_curve.csv").read_text().splitlines()
         assert lines[0].startswith("epoch,")
         assert len(lines) == 3  # header + 2 epochs
+
+
+    @pytest.mark.parametrize("mode, normalize_calls", [("pft", 0),
+                                                        ("fft", 1)])
+    def test_checkpoint_is_training_on_the_z_scored_panel(
+            self, config_path, tmp_path, monkeypatch, mode, normalize_calls):
+        """Under PFT `train` pools its one table and z-scores no panel, and
+        trains the model that `train_model` trains on `x_norm`."""
+        main(["synth", "--config", config_path, "--out-dir", str(tmp_path)])
+        path = str(tmp_path / "synthetic.csv")
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return normalize(*args, **kw)
+
+        normalize = data.normalize
+        monkeypatch.setattr(data, "normalize", counted)
+        monkeypatch.setattr(evaluation, "normalize", counted)
+        out = tmp_path / "train_out"
+        assert main(["train", "--config", config_path, "--dataset", path,
+                     f"--{mode}", "--out-dir", str(out)]) == 0
+        assert len(calls) == normalize_calls
+        monkeypatch.undo()
+        dataset = load_csv(path)
+        rows = np.arange(len(dataset))
+        reference = Model(make_model_config(dataset, token_dim=4,
+                                            gate_hidden=4), seed=0)
+        train_model(reference, dataset, rows,
+                    data.normalize(dataset, rows)[0], LossWeights(),
+                    TrainConfig(epochs=2, mode=mode), 0)
+        saved = Model.load(out / "model.npz")
+        for name, p in reference.params.items():
+            scale = np.abs(p.data).max()
+            np.testing.assert_allclose(saved.params[name].data, p.data,
+                                       rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=name)
 
 
 class TestEval:
@@ -272,6 +312,19 @@ class TestErrors:
         assert f"error: 'jobs' must be >= 1, got {jobs}" in err, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_unknown_protocol_in_config_fails_before_any_work(
+            self, config_path, tmp_path, capsys, command):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(open(config_path).read() + "protocol: xyz\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(bad),
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert ("error: config file: 'protocol' must be one of loco, locto, "
+                "loto, got 'xyz'") in err, err
+        assert not out.exists()
+
     def test_missing_dataset_file_fails(self, capsys):
         assert main(["schema", "--dataset", "/nonexistent.csv"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -331,6 +384,36 @@ class TestSeeds:
         assert ("error: 'seeds' must be nonnegative, got [-3]"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("config, seed_list, seeds", [
+        (None, None, {7}),
+        ("seedless", None, {7}),
+        ("seeded", None, {0, 1}),
+        (None, "5", {5}),
+        ("seedless", "5", {5}),
+        ("seeded", "5", {5}),
+    ])
+    def test_env_seed_applies_unless_seeds_are_set(
+            self, config_path, tmp_path, monkeypatch, config, seed_list,
+            seeds):
+        """BIOCOMPASS_SEED is the seed when neither the config file nor
+        `--seed-list` gives one."""
+        main(["synth", "--config", config_path, "--out-dir", str(tmp_path)])
+        argv = ["eval", "--dataset", str(tmp_path / "synthetic.csv"),
+                "--out-dir", str(tmp_path / "out")]
+        if config == "seedless":
+            seedless = tmp_path / "seedless.yaml"
+            seedless.write_text(SMALL_SYNTH.replace("seeds: [0, 1]\n", ""))
+            argv += ["--config", str(seedless)]
+        elif config == "seeded":
+            argv += ["--config", config_path]
+        if seed_list:
+            argv += ["--seed-list", seed_list]
+        monkeypatch.setenv("BIOCOMPASS_SEED", "7")
+        assert main(argv) == 0
+        with open(tmp_path / "out" / "perfold.csv", newline="") as f:
+            assert {int(row["seed"]) for row in csv.DictReader(f)} == seeds
 
 
 class TestCsvInput:

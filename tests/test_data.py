@@ -50,6 +50,19 @@ class TestLoadCsv:
         assert str(ds.treatment_tokens[2]) == "CTLA-4+PD-1"
         np.testing.assert_array_equal(ds.treatments[2], [1, 0, 1])
 
+    def test_columns_without_a_block_prefix_are_in_no_block(self, tmp_path):
+        rows = [well_formed_row("s1", "c1"), well_formed_row("s2", "c2")]
+        want = load_csv(make_csv(tmp_path, rows))
+        # no "_" after the block name, or a longer name before it
+        extra = ",expr,bm,exprs_c,tide2_1,pheno-1"
+        got = load_csv(make_csv(tmp_path, [r + ",9,9,9,9,9" for r in rows],
+                                header=HEADER + extra))
+        assert got.gene_names == want.gene_names
+        assert got.biomarker_names == want.biomarker_names
+        for name in ("expression", "biomarkers", "tide", "pheno", "pathway"):
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes()), name
+
     def test_non_binary_response_names_row(self, tmp_path):
         path = make_csv(tmp_path, [well_formed_row(),
                                    well_formed_row("s2", resp="2")])

@@ -831,6 +831,41 @@ class TestRunAblation:
             assert (report_bytes(pooled[name], tmp_path / "jobs2" / name)
                     == report_bytes(inline[name], tmp_path / "jobs1" / name))
 
+    def test_pft_scores_each_run_on_its_task_table(self, tiny_dataset,
+                                                   kwargs, monkeypatch):
+        """Under PFT no run z-scores its test rows or pools them on a tape;
+        its probabilities are `predict_proba`'s on the z-scored test rows."""
+        trained, scored = [], []
+
+        def recorded_train(model, dataset, train_idx, *args, **kw):
+            trained.append((model, train_idx))
+            return train(model, dataset, train_idx, *args, **kw)
+
+        def recorded_metrics(probs, *args):
+            scored.append(probs)
+            return metrics(probs, *args)
+
+        def refused(*args, **kw):
+            raise AssertionError("PFT pools only through pooled_normalized")
+
+        train, metrics = evaluation.train_model, evaluation.compute_metrics
+        monkeypatch.setattr(evaluation, "train_model", recorded_train)
+        monkeypatch.setattr(evaluation, "compute_metrics", recorded_metrics)
+        monkeypatch.setattr(Model, "pooled_batch", refused)
+        monkeypatch.setattr("biocompass.data.apply_normalization", refused)
+        run_ablation(tiny_dataset, "loco", [0, 1],
+                     train_cfg=TrainConfig(epochs=2, lr=1e-2), **kwargs)
+        monkeypatch.undo()
+        assert len(trained) == len(scored) == 4 * 2 * 4
+        logged = tiny_dataset.log_expression
+        for (model, train_idx), probs in zip(trained, scored):
+            test_idx = np.setdiff1d(np.arange(len(tiny_dataset)), train_idx)
+            x_test = apply_normalization(logged[test_idx],
+                                         fit_normalization(logged, train_idx))
+            expected = model.predict_proba(x_test,
+                                           tiny_dataset.treatments[test_idx])
+            np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("mode, trained", [("pft", 4), ("fft", 5)])
     def test_normalises_once_and_skips_no_pathway_under_pft(
             self, tiny_dataset, kwargs, monkeypatch, mode, trained):
