@@ -184,7 +184,8 @@ def cmd_train(args) -> int:
                                                      cfg.loss_weights())
     model = Model(model_cfg, seed=seed)
     train_idx = np.arange(len(dataset))
-    x_norm, table = fold_inputs(model, dataset, train_idx, train_cfg.mode)
+    stats = data_mod.fit_normalization(dataset.log_expression, train_idx)
+    x_norm, table = fold_inputs(model, dataset, stats, train_cfg.mode)
     history = train_model(model, dataset, train_idx, x_norm, weights,
                           train_cfg, seed, pooled=table)
     os.makedirs(cfg.out_dir, exist_ok=True)

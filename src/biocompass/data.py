@@ -68,6 +68,13 @@ class Dataset:
         logged.flags.writeable = False
         return logged
 
+    def __getstate__(self):
+        """The fields without the cached `log_expression`: a copy, such as
+        a --jobs worker's, computes its own, read-only, on first use."""
+        state = dict(self.__dict__)
+        state.pop("log_expression", None)
+        return state
+
     @property
     def dims(self) -> dict:
         return {
@@ -121,24 +128,111 @@ def split_by_group(dataset: Dataset, key: str) -> FoldPlan:
 
 @dataclass
 class NormalizationStats:
+    """Per-gene z-score statistics of a fold's training rows. A gene that
+    is constant there gets mean = its value and std = 1, so it z-scores to
+    0 on those rows and to its plain difference elsewhere. Any other gene
+    whose std is 0 gets std 1 too."""
     mean: np.ndarray
-    std: np.ndarray   # zero-variance genes clamped to 1
+    std: np.ndarray
+
+
+def _clamp_constant(mean, std, lo, hi) -> NormalizationStats:
+    """`mean` and `std` with each gene whose training min `lo` equals its
+    max `hi` set to that value and 1, and a zero std set to 1."""
+    constant = lo == hi
+    return NormalizationStats(mean=np.where(constant, lo, mean),
+                              std=np.where(constant | (std == 0.0), 1.0, std))
 
 
 def fit_normalization(logged: np.ndarray, train_idx: np.ndarray) -> NormalizationStats:
     """Per-gene mean and std of log2(TPM+1) values over the training rows."""
-    if len(train_idx) == 0:
-        raise ValueError("normalization needs a nonempty training set")
     # np.mean's and np.std's own steps, done in place on the one gathered
     # copy of the training rows, so the bits are theirs
     train = logged[train_idx]
     n = len(train)
+    if n == 0:
+        raise ValueError("normalization needs a nonempty training set")
+    lo, hi = train.min(axis=0), train.max(axis=0)
     mean = np.add.reduce(train, axis=0) / n
     train -= mean
     train *= train
     std = np.sqrt(np.add.reduce(train, axis=0) / n)
-    std = np.where(std == 0.0, 1.0, std)
-    return NormalizationStats(mean=mean, std=std)
+    return _clamp_constant(mean, std, lo, hi)
+
+
+def fold_statistics(logged: np.ndarray, plan: FoldPlan
+                    ) -> list[NormalizationStats]:
+    """`fit_normalization` of every fold of a leave-one-group-out `plan`,
+    in fold order, from one pass over `logged`.
+
+    A fold's training rows are the other folds' test rows, so each group's
+    rows are read once, for their count, per-gene min and max, and the
+    mean and centred sum of squares of `rows - pivot`, `pivot` being the
+    panel's first row. Each fold then combines the other groups' moments
+    as Chan, Golub & LeVeque (1979) combine partial sums: the count-weighted
+    mean of the group means, and the groups' sums of squares plus each
+    group's count times its mean's squared distance from that mean. Working
+    relative to the pivot keeps a gene's rounding error at the scale of its
+    spread, not of its mean. Agrees with `fit_normalization` to rounding,
+    not to the bit.
+
+    A plan whose test sets do not partition the rows, or whose fold trains
+    on other rows than the other folds' test rows, is a ValueError."""
+    n_rows = len(logged)
+    tests = [np.asarray(fold.test_idx) for fold in plan.folds]
+    if len(tests) < 2:
+        raise ValueError(f"leave-one-group-out needs >= 2 folds, "
+                         f"got {len(tests)}")
+    group = np.empty(n_rows, dtype=np.intp)
+    for k, test in enumerate(tests):
+        if (not len(test) or test.dtype.kind not in "iu"
+                or test.min() < 0 or test.max() >= n_rows):
+            raise ValueError(f"fold {k}: test rows must be a nonempty set "
+                             f"of row indices in [0, {n_rows})")
+        group[test] = k
+    hits = np.bincount(np.concatenate(tests), minlength=n_rows)
+    if (hits != 1).any():
+        row = int(np.argmax(hits != 1))
+        raise ValueError(f"row {row} is in {hits[row]} folds' test sets, "
+                         f"not 1: the plan does not partition the rows")
+    for k, fold in enumerate(plan.folds):
+        train = np.sort(np.asarray(fold.train_idx))
+        if not np.array_equal(train, np.flatnonzero(group != k)):
+            raise ValueError(f"fold {k}: the training rows are not the "
+                             f"other folds' test rows")
+
+    pivot = logged[0]
+    count = np.array([len(test) for test in tests], dtype=np.float64)
+    lo, hi, mean, m2 = (np.empty((len(tests), logged.shape[1]))
+                        for _ in range(4))
+    # every group's rows go through one buffer; `take` skips its bounds
+    # checks (made above) and so writes into `out` unbuffered
+    buffer = np.empty((int(count.max()), logged.shape[1]))
+    for k, test in enumerate(tests):
+        rows = np.take(logged, test, axis=0, out=buffer[:len(test)],
+                       mode="clip")
+        np.minimum.reduce(rows, axis=0, out=lo[k])
+        np.maximum.reduce(rows, axis=0, out=hi[k])
+        rows -= pivot
+        np.add.reduce(rows, axis=0, out=mean[k])
+        mean[k] /= len(test)
+        rows -= mean[k]
+        rows *= rows
+        np.add.reduce(rows, axis=0, out=m2[k])
+
+    out = []
+    for k in range(len(tests)):
+        others = np.arange(len(tests)) != k
+        weight = np.where(others, count, 0.0)
+        n = weight.sum()
+        fold_mean = weight @ mean / n
+        spread = mean - fold_mean
+        spread *= spread
+        fold_m2 = others.astype(np.float64) @ m2 + weight @ spread
+        out.append(_clamp_constant(pivot + fold_mean, np.sqrt(fold_m2 / n),
+                                   lo[others].min(axis=0),
+                                   hi[others].max(axis=0)))
+    return out
 
 
 def apply_normalization(logged: np.ndarray, stats: NormalizationStats) -> np.ndarray:

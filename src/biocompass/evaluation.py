@@ -11,7 +11,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diffcore
-from .data import Dataset, fit_normalization, normalize, split_by_group
+from .data import (Dataset, NormalizationStats, apply_normalization,
+                   fold_statistics, split_by_group)
 from .diffcore import (Adam, Constant, NonFiniteError, Tape, check_labels,
                        zero_grads)
 from .model import (AUX_TASKS, SIDE_HEADS, Model, ModelConfig, EncoderConfig,
@@ -357,31 +358,32 @@ def make_model_config(dataset: Dataset, token_dim: int = 16,
     )
 
 
-def fold_inputs(model: Model, dataset: Dataset, train_idx: np.ndarray,
+def fold_inputs(model: Model, dataset: Dataset, stats: NormalizationStats,
                 mode: str) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """`(x_norm, table)`, what `train_model` reads for one fold, with the
-    normalisation statistics fit on `train_idx` only.
+    """`(x_norm, table)`, what `train_model` reads for one fold, z-scored
+    with `stats`, which the caller fit on the fold's training rows only
+    (`fold_statistics` for a protocol run, `fit_normalization` for one).
 
     Under FFT the encoder trains, so each step pools the z-scored panel
-    `x_norm` (`normalize`) on its tape, and there is no table. Under PFT
-    the encoder is frozen and a sample's pooled row is the same at every
-    step: `table` holds every sample's, test rows included, pooled once
-    by `model` straight from log-expression (`Model.pooled_normalized`),
-    and no panel is z-scored."""
-    if mode != "pft":
-        x_norm, _ = normalize(dataset, train_idx)
-        return x_norm, None
+    `x_norm` on its tape, and there is no table. Under PFT the encoder is
+    frozen and a sample's pooled row is the same at every step: `table`
+    holds every sample's, test rows included, pooled once by `model`
+    straight from log-expression (`Model.pooled_normalized`), and no panel
+    is z-scored."""
     logged = dataset.log_expression
-    return None, model.pooled_normalized(
-        logged, fit_normalization(logged, train_idx))
+    if mode != "pft":
+        return apply_normalization(logged, stats), None
+    return None, model.pooled_normalized(logged, stats)
 
 
-def _run_fold_seed(dataset: Dataset, fold, fold_id: int, seed: int,
-                   runs: list, train_cfg: TrainConfig) -> list:
-    """One fold x seed task: build the fold's inputs once (`fold_inputs`,
-    from the task's first model), then train each (model config, loss
-    weights) pair of `runs` from a fresh initialisation on the training
-    rows and score it on the test rows. Returns one FoldSeedResult per run.
+def _run_fold_seed(dataset: Dataset, fold, fold_id: int,
+                   stats: NormalizationStats, seed: int, runs: list,
+                   train_cfg: TrainConfig) -> list:
+    """One fold x seed task: build the fold's inputs once from its
+    normalisation statistics `stats` (`fold_inputs`, from the task's first
+    model), then train each (model config, loss weights) pair of `runs`
+    from a fresh initialisation on the training rows and score it on the
+    test rows. Returns one FoldSeedResult per run.
 
     Under FFT every run trains on the one z-scored panel and is scored with
     `predict_proba` on its test rows. Under PFT every run trains on the one
@@ -395,8 +397,7 @@ def _run_fold_seed(dataset: Dataset, fold, fold_id: int, seed: int,
     for i, (model_cfg, weights) in enumerate(runs):
         model = Model(model_cfg, seed=seed)
         if i == 0:
-            x_norm, table = fold_inputs(model, dataset, fold.train_idx,
-                                        train_cfg.mode)
+            x_norm, table = fold_inputs(model, dataset, stats, train_cfg.mode)
         train_model(model, dataset, fold.train_idx, x_norm, weights,
                     train_cfg, seed, pooled=table)
         if table is None:
@@ -453,9 +454,10 @@ def _run_configs(dataset: Dataset, protocol: str, seeds, ablations,
                  weights: LossWeights | None = None,
                  train_cfg: TrainConfig | None = None,
                  weighted: bool = False, jobs: int = 1) -> list:
-    """One MetricsReport per ablation, from fold x seed tasks that each fit
-    their normalisation once and train every distinct configuration (see
-    `_run_fold_seed`)."""
+    """One MetricsReport per ablation, from fold x seed tasks that each
+    train every distinct configuration (see `_run_fold_seed`). Every fold's
+    normalisation statistics come from one `fold_statistics` pass over the
+    panel, made before the tasks, and each task carries its fold's."""
     if protocol not in PROTOCOL_KEYS:
         raise ValueError(f"unknown protocol: {protocol!r}")
     key = PROTOCOL_KEYS[protocol]
@@ -466,7 +468,8 @@ def _run_configs(dataset: Dataset, protocol: str, seeds, ablations,
     runs, index = _distinct_runs(ablations, model_cfg, weights,
                                  train_cfg.mode)
 
-    tasks = [(fold, fold_id, seed, runs, train_cfg)
+    stats = fold_statistics(dataset.log_expression, plan)
+    tasks = [(fold, fold_id, stats[fold_id], seed, runs, train_cfg)
              for fold_id, fold in enumerate(plan.folds)
              for seed in seeds]
     if jobs > 1:
@@ -515,8 +518,8 @@ ABLATION_CONFIGS = {
 
 def run_ablation(dataset: Dataset, protocol: str, seeds, **kwargs) -> dict:
     """Full model plus the four one-component-off configurations, trained
-    fold by fold on one normalisation fit per fold x seed; takes
-    `run_protocol`'s keywords except `ablation`. Under PFT every
+    fold by fold on one `fold_statistics` pass; takes `run_protocol`'s
+    keywords except `ablation`. Under PFT every
     configuration trains without the pathway term and `no_pathway` reports
     `full`'s runs (see `_distinct_runs`)."""
     reports = _run_configs(dataset, protocol, seeds,

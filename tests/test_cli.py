@@ -81,23 +81,30 @@ class TestTrain:
                                                         ("fft", 1)])
     def test_checkpoint_is_training_on_the_z_scored_panel(
             self, config_path, tmp_path, monkeypatch, mode, normalize_calls):
-        """Under PFT `train` pools its one table and z-scores no panel, and
-        trains the model that `train_model` trains on `x_norm`."""
+        """`train` fits its statistics once, on every row; under PFT it
+        pools its one table and z-scores no panel, under FFT it z-scores
+        the panel once. It trains the model that `train_model` trains on
+        `x_norm`."""
         main(["synth", "--config", config_path, "--out-dir", str(tmp_path)])
         path = str(tmp_path / "synthetic.csv")
-        calls = []
+        calls = {"fit_normalization": [], "apply_normalization": []}
 
-        def counted(*args, **kw):
-            calls.append(args)
-            return normalize(*args, **kw)
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name].append(args)
+                return fn(*args, **kw)
+            return wrapper
 
-        normalize = data.normalize
-        monkeypatch.setattr(data, "normalize", counted)
-        monkeypatch.setattr(evaluation, "normalize", counted)
+        for name in calls:
+            fn = counted(name, getattr(data, name))
+            monkeypatch.setattr(data, name, fn)
+            monkeypatch.setattr(evaluation, name, fn, raising=False)
         out = tmp_path / "train_out"
         assert main(["train", "--config", config_path, "--dataset", path,
                      f"--{mode}", "--out-dir", str(out)]) == 0
-        assert len(calls) == normalize_calls
+        [(_, rows)] = calls["fit_normalization"]
+        assert rows.tolist() == list(range(80))
+        assert len(calls["apply_normalization"]) == normalize_calls
         monkeypatch.undo()
         dataset = load_csv(path)
         rows = np.arange(len(dataset))

@@ -1,5 +1,7 @@
 import csv
+import math
 import os
+import pickle
 import re
 import tempfile
 import tracemalloc
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from biocompass.data import (Dataset, SchemaError, SyntheticSpec,
-                             _records, fit_normalization, generate_synthetic,
+from biocompass.data import (Dataset, Fold, FoldPlan, SchemaError,
+                             SyntheticSpec, _records, fit_normalization,
+                             fold_statistics, generate_synthetic,
                              generate_synthetic_with_truth, load_csv,
                              normalize, split_by_group, write_csv)
 from biocompass.evaluation import roc_auc
@@ -528,6 +531,14 @@ class TestNormalize:
         assert x.tobytes() == ((np.log2(tpm + 1.0) - stats.mean)
                                / stats.std).tobytes()
 
+    def test_a_pickled_copy_recomputes_log_expression(self, rng):
+        ds = _dataset_from_tpm(rng.uniform(0, 100, size=(10, 4)))
+        logged = ds.log_expression
+        copy = pickle.loads(pickle.dumps(ds))
+        assert "log_expression" not in copy.__dict__
+        assert copy.log_expression.tobytes() == logged.tobytes()
+        assert not copy.log_expression.flags.writeable
+
     @pytest.mark.parametrize("case", ["shuffled", "duplicated", "single_row",
                                       "boolean_mask", "constant_column"])
     def test_statistics_are_the_bytes_of_mean_and_std(self, rng, case):
@@ -542,15 +553,128 @@ class TestNormalize:
         before = logged.tobytes()
         stats = fit_normalization(logged, idx)
         train = logged[idx]
-        std = train.std(axis=0)
-        assert stats.mean.tobytes() == train.mean(axis=0).tobytes()
+        mean, std = train.mean(axis=0), train.std(axis=0)
+        if case == "constant_column":
+            # a constant gene has its value for mean and 1 for std, not
+            # np.mean's and np.std's rounding residue
+            mean[2], std[2] = logged[0, 2], 1.0
+        assert stats.mean.tobytes() == mean.tobytes()
         assert stats.std.tobytes() == np.where(std == 0.0, 1.0, std).tobytes()
         assert logged.tobytes() == before  # the input is left alone
 
+    def test_constant_nonzero_gene_is_clamped(self):
+        """TPM 5 on every training row: mean log2(6) exactly and std 1, so
+        a test row at 5.01 z-scores to its small difference, not to ~1e12."""
+        tpm = np.full((450, 2), 5.0)
+        tpm[:, 1] = np.arange(450.0)
+        tpm[449, 0] = 5.01
+        x, stats = normalize(_dataset_from_tpm(tpm), np.arange(449))
+        assert stats.mean[0] == np.log2(6.0) and stats.std[0] == 1.0
+        np.testing.assert_array_equal(x[:449, 0], 0.0)
+        assert x[449, 0] == np.log2(6.01) - np.log2(6.0)
+
     def test_empty_training_set_rejected(self, rng):
         ds = _dataset_from_tpm(rng.uniform(0, 10, size=(4, 3)))
-        with pytest.raises(ValueError, match="nonempty"):
-            normalize(ds, np.array([], dtype=int))
+        for rows in (np.array([], dtype=int), np.zeros(4, dtype=bool)):
+            with pytest.raises(ValueError, match="nonempty"):
+                normalize(ds, rows)
+
+
+def plan_of(labels) -> FoldPlan:
+    """A leave-one-group-out plan with one fold per distinct label."""
+    labels = np.asarray(labels)
+    rows = np.arange(len(labels))
+    return FoldPlan(key="group", folds=[
+        Fold(group=str(g), test_idx=rows[labels == g],
+             train_idx=rows[labels != g]) for g in np.unique(labels)])
+
+
+class TestFoldStatistics:
+    """`fold_statistics` gives each fold of a plan the statistics that
+    `fit_normalization` fits on its training rows, from per-group moments."""
+
+    @staticmethod
+    def assert_matches_fit(logged, plan):
+        folds = fold_statistics(logged, plan)
+        assert len(folds) == len(plan.folds)
+        for fold, stats in zip(plan.folds, folds):
+            ref = fit_normalization(logged, fold.train_idx)
+            np.testing.assert_allclose(stats.std, ref.std, rtol=1e-12, atol=0)
+            assert (np.abs(stats.mean - ref.mean) <= 1e-12 * ref.std).all()
+
+    @pytest.mark.parametrize("key", ["cohort", "cancer_type", "treatment"])
+    def test_every_fold_matches_fit_normalization(self, key):
+        ds = generate_synthetic(SyntheticSpec())
+        self.assert_matches_fit(ds.log_expression, split_by_group(ds, key))
+
+    def test_one_sample_group(self):
+        ds = generate_synthetic(SyntheticSpec(
+            n_cohorts=3, samples_per_cohort=(20, 1, 30), n_genes=64, seed=4))
+        plan = split_by_group(ds, "cohort")
+        assert [len(f.test_idx) for f in plan.folds] == [20, 1, 30]
+        self.assert_matches_fit(ds.log_expression, plan)
+
+    @pytest.mark.parametrize("ratio", [1e3, 1e5, 1e7])
+    def test_steep_genes_match_an_exact_sum(self, rng, ratio):
+        """Genes with |mean| / std = `ratio`, against means and sums of
+        squares summed exactly by `math.fsum`."""
+        logged = ratio * np.array([1.0, -1.0, 3.0]) + rng.normal(size=(60, 3))
+        plan = plan_of(rng.integers(0, 4, size=60))
+        for fold, stats in zip(plan.folds, fold_statistics(logged, plan)):
+            for g in range(3):
+                col = logged[fold.train_idx, g].tolist()
+                mean = math.fsum(col) / len(col)
+                std = math.sqrt(math.fsum((v - mean) ** 2 for v in col)
+                                / len(col))
+                assert abs(stats.mean[g] - mean) <= 1e-13 * abs(mean)
+                assert abs(stats.std[g] - std) <= 1e-13 * std, (fold.group, g)
+
+    def test_constant_genes_get_their_value_and_unit_std(self, rng):
+        """Gene 0 is 0 everywhere and gene 1 log2(6) everywhere. Genes 2-9
+        are log2(6) outside group 0, whose rows (the pivot row 0 among
+        them) vary: fold 0 trains on their constant rows only."""
+        logged = rng.normal(3.0, 1.0, size=(30, 10))
+        logged[:, 0] = 0.0
+        logged[:, 1] = np.log2(6.0)
+        logged[10:, 2:] = np.log2(6.0)
+        plan = plan_of(np.repeat([0, 1, 2], 10))
+        folds = fold_statistics(logged, plan)
+        for stats in folds:
+            assert stats.mean[0] == 0.0 and stats.std[0] == 1.0
+            assert stats.mean[1] == np.log2(6.0) and stats.std[1] == 1.0
+        assert (folds[0].mean[2:] == np.log2(6.0)).all()
+        assert (folds[0].std[2:] == 1.0).all()
+        assert all((stats.std[2:] > 0.1).all() for stats in folds[1:])
+
+    @pytest.mark.parametrize("case", ["overlap", "missing_row", "duplicate",
+                                      "out_of_range", "empty_test",
+                                      "boolean_mask", "training_rows",
+                                      "one_fold"])
+    def test_plan_that_does_not_partition_is_refused(self, rng, case):
+        logged = rng.normal(size=(12, 3))
+        plan = plan_of(np.repeat([0, 1, 2], 4))
+        fold = plan.folds[1]
+        if case == "overlap":
+            fold.test_idx = np.r_[fold.test_idx, 0]
+        elif case == "missing_row":
+            fold.test_idx = fold.test_idx[1:]
+        elif case == "duplicate":
+            fold.test_idx = np.r_[fold.test_idx, fold.test_idx[0]]
+        elif case == "out_of_range":
+            fold.test_idx = np.r_[fold.test_idx, 12]
+        elif case == "empty_test":
+            plan.folds.append(Fold(group="3", test_idx=np.array([], dtype=int),
+                                   train_idx=np.arange(12)))
+        elif case == "boolean_mask":
+            fold.test_idx = np.arange(12) // 4 == 1
+        elif case == "training_rows":
+            fold.train_idx = fold.train_idx[1:]
+        else:
+            plan.folds = [Fold(group="all", test_idx=np.arange(12),
+                               train_idx=np.array([], dtype=int))]
+        with pytest.raises(ValueError,
+                           match="partition|test rows|training|2 folds"):
+            fold_statistics(logged, plan)
 
 
 def _dataset_from_tpm(tpm):

@@ -15,9 +15,9 @@ from scipy import stats
 import biocompass
 
 from biocompass import diffcore, evaluation
-from biocompass.data import (Dataset, SyntheticSpec, apply_normalization,
-                             fit_normalization, generate_synthetic,
-                             normalize, split_by_group)
+from biocompass.data import (Dataset, NormalizationStats, SyntheticSpec,
+                             apply_normalization, fit_normalization,
+                             generate_synthetic, normalize, split_by_group)
 from biocompass.diffcore import Adam, Tape, zero_grads
 from biocompass.evaluation import (ABLATION_CONFIGS, PROTOCOL_KEYS,
                                    AblationConfig, FoldSeedResult,
@@ -790,7 +790,8 @@ class TestRunAblation:
                                                     kwargs, monkeypatch,
                                                     tmp_path):
         """With --jobs the dataset travels in the pool's initializer
-        arguments, and a task carries only its fold, seed and runs."""
+        arguments, and a task carries only its fold, the fold's statistics,
+        its seed and its runs."""
         import concurrent.futures
 
         sent = {}
@@ -823,8 +824,10 @@ class TestRunAblation:
         assert dataset is tiny_dataset
         assert len(sent["tasks"]) == 4 * 2
         for task in sent["tasks"]:
-            assert not any(isinstance(part, Dataset)
-                           for part in pickle.loads(task))
+            parts = pickle.loads(task)
+            assert not any(isinstance(part, Dataset) for part in parts)
+            assert sum(isinstance(part, NormalizationStats)
+                       for part in parts) == 1
         inline = run_ablation(tiny_dataset, "loco", [0, 1], jobs=1,
                               train_cfg=train_cfg, **kwargs)
         for name in ABLATION_CONFIGS:
@@ -869,7 +872,7 @@ class TestRunAblation:
     @pytest.mark.parametrize("mode, trained", [("pft", 4), ("fft", 5)])
     def test_normalises_once_and_skips_no_pathway_under_pft(
             self, tiny_dataset, kwargs, monkeypatch, mode, trained):
-        calls = {"normalize": [], "fit_normalization": [],
+        calls = {"fold_statistics": [], "apply_normalization": [],
                  "train_model": []}
         tables = []
 
@@ -891,16 +894,16 @@ class TestRunAblation:
         run_ablation(tiny_dataset, "loco", [0, 1],
                      train_cfg=TrainConfig(epochs=1, mode=mode), **kwargs)
         tasks = 4 * 2  # folds x seeds
+        # one pass over the panel for every fold's statistics
+        assert len(calls["fold_statistics"]) == 1
         assert len(calls["train_model"]) == tasks * trained
         if mode == "fft":
-            assert len(calls["normalize"]) == tasks
+            assert len(calls["apply_normalization"]) == tasks
             # the configs of a task train on that task's one x_norm
             shared = [args[3] for args, _ in calls["train_model"]]
         else:
-            # one statistics fit and one pooled table per task, and no
-            # N x G normalised matrix
-            assert calls["normalize"] == []
-            assert len(calls["fit_normalization"]) == tasks
+            # one pooled table per task, and no N x G normalised matrix
+            assert calls["apply_normalization"] == []
             assert len(tables) == tasks
             assert all(args[3] is None for args, _ in calls["train_model"])
             shared = [kw["pooled"] for _, kw in calls["train_model"]]
@@ -908,6 +911,22 @@ class TestRunAblation:
         for t in range(tasks):
             task = shared[t * trained:(t + 1) * trained]
             assert all(x is task[0] for x in task)
+
+    @pytest.mark.parametrize("mode", ["pft", "fft"])
+    def test_fits_no_fold_on_its_own(self, tiny_dataset, kwargs, monkeypatch,
+                                     mode):
+        """Every fold's statistics come from `fold_statistics`: a run
+        completes with the per-fold fits patched to raise."""
+        def refused(*args, **kw):
+            raise AssertionError("a fold was normalised on its own")
+
+        for name in ("fit_normalization", "normalize"):
+            monkeypatch.setattr(f"biocompass.data.{name}", refused)
+            monkeypatch.setattr(evaluation, name, refused, raising=False)
+        reports = run_ablation(tiny_dataset, "loco", [0],
+                               train_cfg=TrainConfig(epochs=1, mode=mode),
+                               **kwargs)
+        assert all(len(r.rows) == 4 for r in reports.values())
 
 
 class TestAggregateRows:
