@@ -146,22 +146,32 @@ def _build_config(args) -> ExperimentConfig:
     return replace(cfg, **flags)
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--config", help="YAML experiment config")
-    parser.add_argument("--dataset", help="cohort CSV path")
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--seed-list", dest="seed_list",
-                        help="comma-separated seeds")
-    parser.add_argument("--jobs", type=int, help="fold x seed parallelism")
-    parser.add_argument("--protocol", choices=("loco", "locto", "loto"))
-    parser.add_argument("--weighted", action="store_true",
-                        help="sample-weighted fold means")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--pft", dest="mode", action="store_const", const="pft")
-    mode.add_argument("--fft", dest="mode", action="store_const", const="fft")
-    for flag in ("gating", "pathway", "aux", "alignment"):
-        parser.add_argument(f"--disable-{flag}", dest=f"disable_{flag}",
-                            action="store_true")
+def _add_flags(parser, flags) -> None:
+    """Register the named flags, and only those, on a subcommand."""
+    add = parser.add_argument
+    if "config" in flags:
+        add("--config", help="YAML experiment config")
+    if "dataset" in flags:
+        add("--dataset", help="cohort CSV path")
+    if "out_dir" in flags:
+        add("--out-dir")
+    if "seed_list" in flags:
+        add("--seed-list", help="comma-separated seeds")
+    if "jobs" in flags:
+        add("--jobs", type=int, help="fold x seed parallelism")
+    if "protocol" in flags:
+        add("--protocol", choices=("loco", "locto", "loto"))
+    if "weighted" in flags:
+        add("--weighted", action="store_true",
+            help="sample-weighted fold means")
+    if "mode" in flags:
+        mode = parser.add_mutually_exclusive_group()
+        for name in ("pft", "fft"):
+            mode.add_argument(f"--{name}", dest="mode", action="store_const",
+                              const=name)
+    if "disable" in flags:
+        for flag in ("gating", "pathway", "aux", "alignment"):
+            add(f"--disable-{flag}", action="store_true")
 
 
 def cmd_synth(args) -> int:
@@ -289,13 +299,17 @@ def cmd_schema(args) -> int:
     return 0
 
 
+_RUN_FLAGS = ("config", "dataset", "out_dir", "seed_list")
+_ALL_FLAGS = (*_RUN_FLAGS, "jobs", "protocol", "weighted", "mode", "disable")
+
+# each command with the flags it reads
 COMMANDS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "baselines": cmd_baselines,
-    "schema": cmd_schema,
+    "synth": (cmd_synth, ("config", "out_dir")),
+    "train": (cmd_train, (*_RUN_FLAGS, "mode", "disable")),
+    "eval": (cmd_eval, _ALL_FLAGS),
+    "ablate": (cmd_ablate, _ALL_FLAGS),
+    "baselines": (cmd_baselines, (*_RUN_FLAGS, "protocol", "weighted")),
+    "schema": (cmd_schema, ("config", "dataset")),
 }
 
 
@@ -305,12 +319,11 @@ def main(argv=None) -> int:
         description="Treatment-gated concept bottleneck training and "
                     "evaluation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        _add_common(p)
+    for name, (_, flags) in COMMANDS.items():
+        _add_flags(sub.add_parser(name), flags)
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

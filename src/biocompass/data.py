@@ -95,32 +95,50 @@ class Dataset:
         raise ValueError(f"unknown group key: {key!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Fold:
     group: str
     test_idx: np.ndarray
     train_idx: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class FoldPlan:
+    """A leave-one-group-out plan over rows grouped by `key`: `groups` holds
+    the distinct group values, sorted, as strings, and `labels` each row's
+    index into `groups`. Fold k tests on the rows labelled k and trains on
+    the others, so the test sets partition the rows."""
     key: str
-    folds: list
+    groups: tuple
+    labels: np.ndarray
+
+    def __post_init__(self):
+        labels, n_groups = self.labels, len(self.groups)
+        if n_groups < 2:
+            raise ValueError(f"leave-one-group-out needs >= 2 distinct "
+                             f"{self.key} values, got {list(self.groups)}")
+        if labels.dtype.kind not in "iu" or not (
+                len(labels) and 0 <= labels.min() and labels.max() < n_groups):
+            raise ValueError(f"labels must be integers in [0, {n_groups})")
+        empty = np.bincount(labels, minlength=n_groups) == 0
+        if empty.any():
+            raise ValueError(f"group {self.groups[int(np.argmax(empty))]!r} "
+                             f"labels no row")
+
+    @property
+    def folds(self) -> list:
+        rows = np.arange(len(self.labels))
+        return [Fold(group=g, test_idx=rows[self.labels == k],
+                     train_idx=rows[self.labels != k])
+                for k, g in enumerate(self.groups)]
 
 
 def split_by_group(dataset: Dataset, key: str) -> FoldPlan:
-    """One fold per distinct group value: test = group, train = complement."""
-    values = dataset.group_values(key)
-    groups = sorted(set(str(v) for v in values))
-    if len(groups) < 2:
-        raise ValueError(
-            f"leave-one-group-out needs >= 2 distinct {key} values, got {groups}")
-    all_idx = np.arange(len(dataset))
-    folds = []
-    for g in groups:
-        mask = values == g
-        folds.append(Fold(group=g, test_idx=all_idx[mask], train_idx=all_idx[~mask]))
-    return FoldPlan(key=key, folds=folds)
+    """One fold per distinct group value, compared as strings: test =
+    group, train = complement."""
+    groups, labels = np.unique(dataset.group_values(key).astype(str),
+                               return_inverse=True)
+    return FoldPlan(key=key, groups=tuple(map(str, groups)), labels=labels)
 
 
 # ---- normalization ----------------------------------------------------
@@ -163,9 +181,9 @@ def fit_normalization(logged: np.ndarray, train_idx: np.ndarray) -> Normalizatio
 def fold_statistics(logged: np.ndarray, plan: FoldPlan
                     ) -> list[NormalizationStats]:
     """`fit_normalization` of every fold of a leave-one-group-out `plan`,
-    in fold order, from one pass over `logged`.
+    in fold order, from one pass over `logged`, whose rows are the plan's.
 
-    A fold's training rows are the other folds' test rows, so each group's
+    A fold's training rows are the other groups' rows, so each group's
     rows are read once, for their count, per-gene min and max, and the
     mean and centred sum of squares of `rows - pivot`, `pivot` being the
     panel's first row. Each fold then combines the other groups' moments
@@ -174,39 +192,19 @@ def fold_statistics(logged: np.ndarray, plan: FoldPlan
     group's count times its mean's squared distance from that mean. Working
     relative to the pivot keeps a gene's rounding error at the scale of its
     spread, not of its mean. Agrees with `fit_normalization` to rounding,
-    not to the bit.
-
-    A plan whose test sets do not partition the rows, or whose fold trains
-    on other rows than the other folds' test rows, is a ValueError."""
-    n_rows = len(logged)
-    tests = [np.asarray(fold.test_idx) for fold in plan.folds]
-    if len(tests) < 2:
-        raise ValueError(f"leave-one-group-out needs >= 2 folds, "
-                         f"got {len(tests)}")
-    group = np.empty(n_rows, dtype=np.intp)
-    for k, test in enumerate(tests):
-        if (not len(test) or test.dtype.kind not in "iu"
-                or test.min() < 0 or test.max() >= n_rows):
-            raise ValueError(f"fold {k}: test rows must be a nonempty set "
-                             f"of row indices in [0, {n_rows})")
-        group[test] = k
-    hits = np.bincount(np.concatenate(tests), minlength=n_rows)
-    if (hits != 1).any():
-        row = int(np.argmax(hits != 1))
-        raise ValueError(f"row {row} is in {hits[row]} folds' test sets, "
-                         f"not 1: the plan does not partition the rows")
-    for k, fold in enumerate(plan.folds):
-        train = np.sort(np.asarray(fold.train_idx))
-        if not np.array_equal(train, np.flatnonzero(group != k)):
-            raise ValueError(f"fold {k}: the training rows are not the "
-                             f"other folds' test rows")
-
+    not to the bit. A panel with another row count than the plan is a
+    ValueError."""
+    if len(logged) != len(plan.labels):
+        raise ValueError(f"the plan has {len(plan.labels)} rows, "
+                         f"the panel {len(logged)}")
+    tests = [fold.test_idx for fold in plan.folds]
     pivot = logged[0]
     count = np.array([len(test) for test in tests], dtype=np.float64)
     lo, hi, mean, m2 = (np.empty((len(tests), logged.shape[1]))
                         for _ in range(4))
     # every group's rows go through one buffer; `take` skips its bounds
-    # checks (made above) and so writes into `out` unbuffered
+    # checks (the plan's labels index its rows, as many as the panel's)
+    # and so writes into `out` unbuffered
     buffer = np.empty((int(count.max()), logged.shape[1]))
     for k, test in enumerate(tests):
         rows = np.take(logged, test, axis=0, out=buffer[:len(test)],

@@ -186,68 +186,52 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
                 cfg: TrainConfig, seed: int,
                 pooled: np.ndarray | None = None) -> list:
     """Minibatch training on one fold's training rows; returns per-epoch
-    mean loss breakdowns.
+    mean loss breakdowns. Adam trains the parameters that a step reaches
+    (`Model.reached_parameters`), the encoder only under FFT.
 
-    A step records the concepts, the gate (when gating is on), the
-    classifier and only the side heads whose loss weight is > 0. Adam
-    trains the parameters that such a step reaches
-    (`Model.reached_parameters`), and the encoder only under FFT: every
-    other parameter keeps its initial value.
-
-    Every check on the loop's inputs runs once, at loop entry, before any
-    parameter changes; it raises what the step's primitive would raise on
-    the raw array. With the encoder frozen, pooling is the same at every
-    step, so the training rows are pooled once, outside the step tapes:
-    `pooled`, when given, is the fold's table of every sample's pooled row
-    (`fold_inputs`) and the loop scans and reads its training rows, so
-    `x_norm` may be None; without it, `x_norm[train_idx]` is pooled. With
-    the encoder trained, `x_norm`'s training rows are checked for
-    finiteness once, and `pooled` is refused. The
-    treatment rows pass `treatment_constant` (the gate's checks) and the
-    response labels `check_labels` (the BCE's check). Each epoch permutes
-    these checked constants and each step takes its rows as slices of
-    them, which enter the tape unscanned."""
+    Each step feeds its rows of `inputs` to `Model.forward` when the
+    encoder trains, `inputs` being `x_norm`, and to `Model.head` when it is
+    frozen, `inputs` being the table of pooled rows: `pooled` (from
+    `fold_inputs`, and then `x_norm` may be None), or else `x_norm`'s
+    training rows pooled once. Every check runs once, at loop entry,
+    before any parameter changes: a finiteness scan of the training rows
+    of `inputs`, the gate's checks on the treatment rows
+    (`treatment_constant`) and the BCE's on the labels (`check_labels`)."""
     model.set_mode(cfg.mode)
     heads = tuple(h for h in SIDE_HEADS if getattr(weights, h) > 0)
     params = model.reached_parameters(heads)
     opt = Adam(params, lr=cfg.lr)
     rng = np.random.default_rng(seed)
     train_idx = np.asarray(train_idx)
-    if model.params["encoder.gene_embedding"].trainable:
-        if pooled is not None:
-            raise ValueError("a pooled table needs a frozen encoder (PFT)")
-        if not np.isfinite(x_norm)[train_idx].all():
-            raise NonFiniteError(
-                "non-finite value in the training rows of x_norm")
-    elif pooled is not None:
-        pooled = Constant(pooled[train_idx],
-                          context="the training rows of the pooled table")
-    else:
-        pooled = Constant.prechecked(
-            model.pooled_batch(Tape(), x_norm[train_idx]).data)
+    frozen = not model.params["encoder.gene_embedding"].trainable
+    if pooled is not None and not frozen:
+        raise ValueError("a pooled table needs a frozen encoder (PFT)")
+    inputs, name = ((x_norm, "x_norm") if pooled is None
+                    else (pooled, "the pooled table"))
+    if not np.isfinite(inputs)[train_idx].all():
+        raise NonFiniteError(
+            f"non-finite value in the training rows of {name}")
+    if frozen and pooled is None:
+        pooled_rows = model.pooled_batch(
+            Tape(), Constant.prechecked(x_norm[train_idx])).data
+        inputs = np.zeros((len(x_norm), pooled_rows.shape[1]))
+        inputs[train_idx] = pooled_rows
+    step = model.head if frozen else model.forward
     treatments = treatment_constant(dataset.treatments[train_idx])
     targets = _targets_slice(dataset, train_idx)
     history = []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(train_idx))
+        order = train_idx[perm]
         epoch_targets = targets.rows(perm)
         epoch_treatments = treatments[perm]
-        if pooled is None:
-            order = train_idx[perm]
-        else:
-            pooled_rows = pooled[perm]
         sums, n_batches = {}, 0
         for start in range(0, len(perm), cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
             tape = Tape()
             zero_grads(params)
-            if pooled is None:
-                out = model.forward(tape,
-                                    Constant.prechecked(x_norm[order[rows]]),
-                                    epoch_treatments[rows], heads)
-            else:
-                out = model.head(tape, pooled_rows[rows],
-                                 epoch_treatments[rows], heads)
+            out = step(tape, Constant.prechecked(inputs[order[rows]]),
+                       epoch_treatments[rows], heads)
             total, breakdown = composite_loss(
                 tape, out, epoch_targets.rows(rows), weights)
             diffcore.backward(total, tape)

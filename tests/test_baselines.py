@@ -352,6 +352,21 @@ class TestRunBaselines:
                 pytest.approx(sum(acc) / len(acc), rel=1e-12)
         assert sorted(sizes.values()) == [20, 30, 50]
 
+    def test_integer_group_values_split_like_their_strings(
+            self, baseline_dataset):
+        """Group values are compared as strings, so a dataset built in code
+        with integer cohort ids gets the folds of their string forms."""
+        ints = np.array([{"cohort_01": 10, "cohort_02": 9,
+                          "cohort_03": 100}[c]
+                         for c in baseline_dataset.cohort_ids])
+        runs = [run_baselines(replace(baseline_dataset, cohort_ids=ids),
+                              "loco", seeds=[0])
+                for ids in (ints, ints.astype(str).astype(object))]
+        assert [r.method for r in runs[0]] == [r.method for r in runs[1]]
+        for a, b in zip(*runs):
+            assert a.report.rows == b.report.rows, a.method
+            assert [r.group for r in a.report.rows] == ["10", "100", "9"]
+
     def test_seed_error_surfaces(self, baseline_dataset):
         with pytest.raises(ValueError):
             run_baselines(baseline_dataset, "loco", seeds=[-1])

@@ -350,6 +350,34 @@ class TestErrors:
         assert (out / "synthetic.csv").exists()
 
 
+_DISABLE = [[f"--disable-{f}"] for f in ("gating", "pathway", "aux",
+                                           "alignment")]
+_RUN = [["--jobs", "2"], ["--protocol", "loto"], ["--weighted"], ["--pft"],
+        ["--fft"], *_DISABLE]
+# the flags that each command does not read
+_UNREAD = {
+    "synth": [["--dataset", "x.csv"], ["--seed-list", "0"], *_RUN],
+    "schema": [["--out-dir", "out"], ["--seed-list", "0"], *_RUN],
+    "train": [["--jobs", "2"], ["--protocol", "loto"], ["--weighted"]],
+    "baselines": [["--jobs", "2"], ["--pft"], ["--fft"], *_DISABLE],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in _UNREAD.items()
+        for flag in flags], ids=lambda v: " ".join(v) if isinstance(
+            v, list) else v)
+    def test_flag_the_command_does_not_read_is_a_usage_error(
+            self, capsys, command, flag):
+        """A subcommand registers only the flags it reads, so one it
+        would ignore stops argparse before any work."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestSeeds:
     @pytest.mark.parametrize("command", ["eval", "baselines"])
     @pytest.mark.parametrize("seeds, named", [

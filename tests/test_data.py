@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from biocompass.data import (Dataset, Fold, FoldPlan, SchemaError,
+from biocompass.data import (Dataset, FoldPlan, SchemaError,
                              SyntheticSpec, _records, fit_normalization,
                              fold_statistics, generate_synthetic,
                              generate_synthetic_with_truth, load_csv,
@@ -582,11 +582,9 @@ class TestNormalize:
 
 def plan_of(labels) -> FoldPlan:
     """A leave-one-group-out plan with one fold per distinct label."""
-    labels = np.asarray(labels)
-    rows = np.arange(len(labels))
-    return FoldPlan(key="group", folds=[
-        Fold(group=str(g), test_idx=rows[labels == g],
-             train_idx=rows[labels != g]) for g in np.unique(labels)])
+    groups, labels = np.unique(labels, return_inverse=True)
+    return FoldPlan(key="group", groups=tuple(map(str, groups)),
+                    labels=labels)
 
 
 class TestFoldStatistics:
@@ -646,35 +644,42 @@ class TestFoldStatistics:
         assert (folds[0].std[2:] == 1.0).all()
         assert all((stats.std[2:] > 0.1).all() for stats in folds[1:])
 
-    @pytest.mark.parametrize("case", ["overlap", "missing_row", "duplicate",
-                                      "out_of_range", "empty_test",
-                                      "boolean_mask", "training_rows",
-                                      "one_fold"])
-    def test_plan_that_does_not_partition_is_refused(self, rng, case):
-        logged = rng.normal(size=(12, 3))
+    @pytest.mark.parametrize("n_groups, labels, named", [
+        (1, np.zeros(12, dtype=int), ">= 2 distinct group values"),
+        (3, np.r_[np.repeat([0, 1, 2], 4)[:-1], 3], r"integers in \[0, 3\)"),
+        (3, np.r_[-1, np.repeat([0, 1, 2], 4)[1:]], r"integers in \[0, 3\)"),
+        (3, np.repeat([0, 2], 6), "group '1' labels no row"),
+        (3, np.repeat([0.0, 1.0, 2.0], 4), r"integers in \[0, 3\)"),
+        (3, np.arange(12) // 4 == 1, r"integers in \[0, 3\)"),
+        (3, np.array([], dtype=int), r"integers in \[0, 3\)"),
+    ], ids=["one_group", "out_of_range", "negative", "empty_group",
+            "float", "boolean_mask", "no_rows"])
+    def test_plan_that_does_not_partition_is_refused(self, n_groups, labels,
+                                                     named):
+        """A plan's test sets partition its rows by construction: each
+        row's label names one group, and every group labels a row."""
+        with pytest.raises(ValueError, match=named):
+            FoldPlan(key="group", groups=tuple(map(str, range(n_groups))),
+                     labels=labels)
+
+    def test_folds_partition_the_rows(self, rng):
+        plan = plan_of(rng.integers(0, 4, size=30))
+        tests = [fold.test_idx for fold in plan.folds]
+        assert np.array_equal(np.sort(np.concatenate(tests)), np.arange(30))
+        for fold in plan.folds:
+            assert np.array_equal(
+                fold.train_idx, np.setdiff1d(np.arange(30), fold.test_idx))
+        with pytest.raises(AttributeError):
+            plan.labels = np.zeros(30, dtype=int)
+        with pytest.raises(AttributeError):
+            plan.folds[0].test_idx = tests[1]
+
+    @pytest.mark.parametrize("n_rows", [11, 13])
+    def test_panel_with_other_rows_than_the_plan_is_refused(self, rng,
+                                                            n_rows):
         plan = plan_of(np.repeat([0, 1, 2], 4))
-        fold = plan.folds[1]
-        if case == "overlap":
-            fold.test_idx = np.r_[fold.test_idx, 0]
-        elif case == "missing_row":
-            fold.test_idx = fold.test_idx[1:]
-        elif case == "duplicate":
-            fold.test_idx = np.r_[fold.test_idx, fold.test_idx[0]]
-        elif case == "out_of_range":
-            fold.test_idx = np.r_[fold.test_idx, 12]
-        elif case == "empty_test":
-            plan.folds.append(Fold(group="3", test_idx=np.array([], dtype=int),
-                                   train_idx=np.arange(12)))
-        elif case == "boolean_mask":
-            fold.test_idx = np.arange(12) // 4 == 1
-        elif case == "training_rows":
-            fold.train_idx = fold.train_idx[1:]
-        else:
-            plan.folds = [Fold(group="all", test_idx=np.arange(12),
-                               train_idx=np.array([], dtype=int))]
-        with pytest.raises(ValueError,
-                           match="partition|test rows|training|2 folds"):
-            fold_statistics(logged, plan)
+        with pytest.raises(ValueError, match="the plan has 12 rows"):
+            fold_statistics(rng.normal(size=(n_rows, 3)), plan)
 
 
 def _dataset_from_tpm(tpm):

@@ -231,6 +231,22 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="protocol"):
             run_protocol(tiny_dataset, "bogus", seeds=[0])
 
+    def test_integer_group_values_split_like_their_strings(self,
+                                                           tiny_dataset):
+        """Group values are compared as strings, so a dataset built in code
+        with integer cohort ids gets the folds of their string forms."""
+        ints = np.array([{"cohort_01": 10, "cohort_02": 9, "cohort_03": 2,
+                          "cohort_04": 100}[c]
+                         for c in tiny_dataset.cohort_ids])
+        reports = [run_protocol(replace(tiny_dataset, cohort_ids=ids), "loco",
+                                seeds=[0], model_cfg=make_model_config(
+                                    tiny_dataset, token_dim=4, gate_hidden=4),
+                                train_cfg=TrainConfig(epochs=2))
+                   for ids in (ints, ints.astype(str).astype(object))]
+        assert reports[0].rows == reports[1].rows
+        assert [r.group for r in reports[0].rows] == ["10", "100", "2", "9"]
+        assert reports[0].group_sizes == reports[1].group_sizes
+
     def test_ablation_runner_emits_five_configs(self, tiny_dataset):
         reports = run_ablation(tiny_dataset, "loto", seeds=[0],
                                model_cfg=make_model_config(tiny_dataset,
@@ -323,6 +339,35 @@ class TestTrainModel:
                                 mode=mode), seed=0)
         # one step, with gradients on a few dozen tensors
         assert len(checked) == 1 and checked[0] > 20
+
+    @pytest.mark.parametrize("mode, with_table", [("pft", True),
+                                                  ("pft", False),
+                                                  ("fft", False)])
+    def test_steps_call_head_under_pft_and_forward_under_fft(
+            self, fold_inputs, monkeypatch, mode, with_table):
+        """With the encoder frozen a step starts from pooled rows, so it
+        calls `Model.head` and never `Model.forward`; with the encoder
+        trained every step calls `Model.forward`, which calls `head`."""
+        dataset, train_idx, x_norm = fold_inputs
+        calls = []
+        for name in ("forward", "head"):
+            def counted(self, *args, _name=name, _method=getattr(Model, name),
+                        **kwargs):
+                calls.append(_name)
+                return _method(self, *args, **kwargs)
+            monkeypatch.setattr(Model, name, counted)
+        model = Model(make_model_config(dataset, token_dim=8, gate_hidden=8),
+                      seed=3)
+        table = (model.pooled_normalized(
+            dataset.log_expression,
+            fit_normalization(dataset.log_expression, train_idx))
+            if with_table else None)
+        cfg = TrainConfig(epochs=2, mode=mode)
+        train_model(model, dataset, train_idx, x_norm, LossWeights(), cfg, 5,
+                    pooled=table)
+        steps = cfg.epochs * math.ceil(len(train_idx) / cfg.batch_size)
+        step = ["head"] if mode == "pft" else ["forward", "head"]
+        assert calls == step * steps
 
     def train_both(self, fold_inputs, mode):
         dataset, train_idx, x_norm = fold_inputs
