@@ -2,7 +2,8 @@
 
 Commands: synth, train, eval, ablate, baselines, schema. Every flag has a
 config-file (YAML) equivalent; flags override the file. BIOCOMPASS_SEED is
-the fallback seed when neither is given.
+the fallback seed when neither is given, read only by the commands that
+take seeds (train, eval, ablate, baselines).
 """
 from __future__ import annotations
 
@@ -24,6 +25,9 @@ from .evaluation import (PROTOCOL_KEYS, AblationConfig, TrainConfig,
 from .model import Model, build_checked
 from .objective import LossWeights
 
+# the seeds of eval, ablate and baselines when none are given
+DEFAULT_SEEDS = (0, 1, 2, 3)
+
 
 @dataclass
 class ExperimentConfig:
@@ -34,7 +38,7 @@ class ExperimentConfig:
     train: dict = field(default_factory=dict)
     ablation: dict = field(default_factory=dict)
     protocol: str = "loco"
-    seeds: list = field(default_factory=lambda: [0, 1, 2, 3])
+    seeds: list = field(default_factory=lambda: list(DEFAULT_SEEDS))
     out_dir: str = "out"
     jobs: int = 1
     weighted: bool = False
@@ -114,11 +118,14 @@ def _seed(token: str, source: str) -> int:
                          ) from None
 
 
-def _build_config(args) -> ExperimentConfig:
+def _build_config(args, seeds=None) -> ExperimentConfig:
     """The config file (or the defaults) with the flags applied on top; the
     result is rebuilt with `replace`, so a flag value passes the same checks
-    as a value from the file. BIOCOMPASS_SEED applies when neither the
-    file nor `--seed-list` sets the seeds."""
+    as a value from the file. A command that takes seeds passes `seeds`,
+    the seeds it runs when none are given: then BIOCOMPASS_SEED applies when
+    neither the file nor `--seed-list` sets the seeds, and `seeds` when
+    it is not set either. A command that reads no seed passes None and
+    BIOCOMPASS_SEED is not read."""
     raw = _read_config(args.config) if args.config else {}
     cfg = build_checked(ExperimentConfig, raw, "config file")
     flags = {}
@@ -135,9 +142,10 @@ def _build_config(args) -> ExperimentConfig:
     if getattr(args, "seed_list", None):
         flags["seeds"] = [_seed(s, "--seed-list")
                           for s in args.seed_list.split(",")]
-    elif "seeds" not in raw and os.environ.get("BIOCOMPASS_SEED"):
-        flags["seeds"] = [_seed(os.environ["BIOCOMPASS_SEED"],
-                                "BIOCOMPASS_SEED")]
+    elif seeds is not None and "seeds" not in raw:
+        env = os.environ.get("BIOCOMPASS_SEED")
+        flags["seeds"] = ([_seed(env, "BIOCOMPASS_SEED")] if env
+                          else list(seeds))
     if getattr(args, "mode", None):
         cfg.train["mode"] = args.mode
     for flag in ("gating", "pathway", "aux", "alignment"):
@@ -185,11 +193,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, seeds=[0])
+    if len(cfg.seeds) > 1:
+        source = ("--seed-list" if args.seed_list
+                  else "config key 'seeds'")
+        raise ValueError(f"train trains one model, but {source} gives "
+                         f"seeds {cfg.seeds}")
+    [seed] = cfg.seeds
     dataset = cfg.load_dataset()
     model_cfg = cfg.model_config(dataset)
     train_cfg = cfg.train_config()
-    seed = cfg.seeds[0]
     model_cfg, weights = cfg.ablation_config().apply(model_cfg,
                                                      cfg.loss_weights())
     model = Model(model_cfg, seed=seed)
@@ -215,7 +228,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, seeds=DEFAULT_SEEDS)
     dataset = cfg.load_dataset()
     report = run_protocol(
         dataset, cfg.protocol, cfg.seeds,
@@ -234,7 +247,7 @@ def _print_aggregate(report) -> None:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, seeds=DEFAULT_SEEDS)
     enabled = [k for k, v in asdict(cfg.ablation_config()).items() if v]
     if enabled:
         raise ValueError(
@@ -267,7 +280,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_baselines(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, seeds=DEFAULT_SEEDS)
     sigs = (baselines_mod.parse_signature_file(cfg.signatures_file)
             if cfg.signatures_file else None)
     dataset = cfg.load_dataset()

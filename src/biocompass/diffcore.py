@@ -1,9 +1,10 @@
 """Dense-tensor reverse-mode differentiation core.
 
 A `Tape` records every primitive executed during a forward pass; `backward`
-replays the records in reverse to accumulate gradients into the tensors that
-produced the loss. Everything is float64 and single-threaded; a tape belongs
-to exactly one forward/backward cycle.
+walks the records in reverse to accumulate gradients into the tensors that
+produced the loss. `Tape.replay` re-runs a recorded forward pass on new
+values bound into its leaves, so a graph whose shapes repeat is built once
+and run many times. Everything is float64 and single-threaded.
 """
 from __future__ import annotations
 
@@ -30,6 +31,19 @@ def _check_finite(values: np.ndarray, context: str) -> None:
         raise NonFiniteError(f"non-finite value in {context}")
 
 
+def _finite(data, context: str) -> np.ndarray:
+    """`data` as a float64 array, checked to be finite. A primitive's
+    float64 output is taken as it is; a 0-d value is checked as a Python
+    float, a fraction of `np.isfinite`'s cost."""
+    if type(data) is not np.ndarray or data.dtype != np.float64:
+        data = np.asarray(data, dtype=np.float64)
+    if data.ndim:
+        _check_finite(data, context)
+    elif not math.isfinite(data):
+        raise NonFiniteError(f"non-finite value in {context}")
+    return data
+
+
 def check_labels(labels) -> np.ndarray:
     """`labels` as a float64 array, checked to hold only 0 and 1: the check
     `Tape.bce` runs on an array of labels."""
@@ -50,15 +64,7 @@ class Tensor:
     needs_grad = True
 
     def __init__(self, data, context: str = "tensor"):
-        # a primitive's float64 output is taken as it is; a 0-d value is
-        # checked as a Python float, a fraction of `np.isfinite`'s cost
-        if type(data) is not np.ndarray or data.dtype != np.float64:
-            data = np.asarray(data, dtype=np.float64)
-        if data.ndim:
-            _check_finite(data, context)
-        elif not math.isfinite(data):
-            raise NonFiniteError(f"non-finite value in {context}")
-        self.data = data
+        self.data = _finite(data, context)
         self.grad = None
         self.store = None
 
@@ -100,8 +106,8 @@ class Constant(Tensor):
     it, and whatever still reaches `accumulate` is dropped.
 
     Indexing a constant gives the constant of the indexed values, unscanned:
-    a loop checks an array once, where it builds it, and each step takes its
-    rows as a slice."""
+    rows of an array checked once, where it was built, are not scanned
+    again."""
 
     __slots__ = ()
     needs_grad = False
@@ -153,14 +159,34 @@ class Parameter:
 
 
 class Tape:
-    """Ordered record of primitives; replayed backward exactly once."""
+    """Ordered record of primitives, each kept as a forward computation and
+    its backward. Recording a primitive runs its forward once; `replay`
+    runs every recorded forward again, in order, on the current `.data` of
+    its inputs, so the same graph serves a new batch whose values were
+    rebound into the same leaves (slots). `backward` walks the records in
+    reverse after a recording or a replay."""
 
     def __init__(self):
-        self._records = []
+        self._records = []    # (output, backward), in recording order
+        self._forwards = []   # (output, forward, context), in the same order
 
-    def _push(self, out: Tensor, backward_fn) -> Tensor:
+    def _record(self, context: str, forward, backward_fn) -> Tensor:
+        """Run `forward` and record its output under `context`, the name
+        that its finiteness check gives."""
+        out = Tensor(forward(), context=context)
         self._records.append((out, backward_fn))
+        self._forwards.append((out, forward, context))
         return out
+
+    def replay(self) -> None:
+        """Clear each recorded output's gradient and recompute its value
+        from the current values of its inputs, with the recording's
+        finiteness check. Leaves are the caller's: their values are
+        whatever was bound into them, and their gradients are not
+        cleared here."""
+        for out, forward, context in self._forwards:
+            out.grad = None
+            out.data = _finite(forward(), context)
 
     # ---- primitives -------------------------------------------------
 
@@ -173,7 +199,9 @@ class Tape:
             raise ValueError(
                 f"matmul dimension mismatch: {a.data.shape} x {b.data.shape}"
             )
-        out = Tensor(a.data @ b.data, context="matmul")
+
+        def forward():
+            return a.data @ b.data
 
         def backward(grad):
             if a.needs_grad:
@@ -181,7 +209,7 @@ class Tape:
             if b.needs_grad:
                 b.accumulate_from(np.matmul, a.data.T, grad)
 
-        return self._push(out, backward)
+        return self._record("matmul", forward, backward)
 
     def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         """Affine map x[m, k] @ w[k, n] + b[n] as one record."""
@@ -192,7 +220,9 @@ class Tape:
                 f"linear shape mismatch: {x.data.shape} @ {w.data.shape} "
                 f"+ {b.data.shape}"
             )
-        out = Tensor(x.data @ w.data + b.data, context="linear")
+
+        def forward():
+            return x.data @ w.data + b.data
 
         def backward(grad):
             if x.needs_grad:
@@ -202,7 +232,7 @@ class Tape:
             if b.needs_grad:
                 b.accumulate_from(np.add.reduce, grad, 0)
 
-        return self._push(out, backward)
+        return self._record("linear", forward, backward)
 
     def weighted_sum(self, terms, weights) -> Tensor:
         """((t0 * w0 + t1 * w1) + t2 * w2) + ... over same-shaped tensors
@@ -215,112 +245,145 @@ class Tape:
         shapes = {t.data.shape for t in terms}
         if len(shapes) != 1:
             raise ValueError(f"weighted_sum shape mismatch: {sorted(shapes)}")
-        total = terms[0].data * weights[0]
-        for t, w in zip(terms[1:], weights[1:]):
-            total = total + t.data * w
-        out = Tensor(total, context="weighted_sum")
+        first, *rest = zip(terms, weights)
+
+        def forward():
+            total = first[0].data * first[1]
+            for t, w in rest:
+                total = total + t.data * w
+            return total
 
         def backward(grad):
             for t, w in zip(terms, weights):
                 t.accumulate(grad * w)
 
-        return self._push(out, backward)
+        return self._record("weighted_sum", forward, backward)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.shape != b.data.shape:
             raise ValueError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-        out = Tensor(a.data * b.data, context="mul")
+
+        def forward():
+            return a.data * b.data
 
         def backward(grad):
             a.accumulate(grad * b.data)
             b.accumulate(grad * a.data)
 
-        return self._push(out, backward)
+        return self._record("mul", forward, backward)
 
     def relu(self, x: Tensor) -> Tensor:
-        # subgradient at 0 is defined as 0
-        mask = x.data > 0.0
-        out = Tensor(np.where(mask, x.data, 0.0), context="relu")
+        mask = None
+
+        def forward():
+            nonlocal mask
+            # subgradient at 0 is defined as 0
+            mask = x.data > 0.0
+            return np.where(mask, x.data, 0.0)
 
         def backward(grad):
             x.accumulate(grad * mask)
 
-        return self._push(out, backward)
+        return self._record("relu", forward, backward)
 
     def sigmoid(self, x: Tensor) -> Tensor:
-        s = _stable_sigmoid(x.data)
-        out = Tensor(s, context="sigmoid")
+        s = None
+
+        def forward():
+            nonlocal s
+            s = _stable_sigmoid(x.data)
+            return s
 
         def backward(grad):
             x.accumulate(grad * s * (1.0 - s))
 
-        return self._push(out, backward)
+        return self._record("sigmoid", forward, backward)
 
     def softplus(self, x: Tensor) -> Tensor:
-        # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), which never overflows
-        out = Tensor(np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data))),
-                     context="softplus")
-        s = _stable_sigmoid(x.data)
+        s = None
+
+        def forward():
+            nonlocal s
+            s = _stable_sigmoid(x.data)
+            # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), which never overflows
+            return np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
 
         def backward(grad):
             x.accumulate(grad * s)
 
-        return self._push(out, backward)
+        return self._record("softplus", forward, backward)
 
-    def mse(self, pred: Tensor, target: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+    def mse(self, pred: Tensor, target: np.ndarray | Tensor,
+            mask: np.ndarray | Tensor | None = None) -> Tensor:
         """Masked squared error: sum over feature dims, mean over the batch.
 
-        `target` and `mask` are constants; an all-zero mask yields loss 0 with
-        zero gradient (no supervised samples in the batch).
+        `target` and `mask` are arrays or constants; an all-zero mask yields
+        loss 0 with zero gradient (no supervised samples in the batch).
         """
-        target = np.asarray(target, dtype=np.float64)
-        if pred.data.shape != target.shape:
+        target = _as_constant(target)
+        if pred.data.shape != target.data.shape:
             raise ValueError(
-                f"mse shape mismatch: {pred.data.shape} vs {target.shape}"
+                f"mse shape mismatch: {pred.data.shape} vs {target.data.shape}"
             )
-        if mask is None:
-            mask = np.ones_like(target)
-        else:
-            mask = np.asarray(mask, dtype=np.float64)
-            if mask.shape != target.shape:
+        if mask is not None:
+            mask = _as_constant(mask)
+            if mask.data.shape != target.data.shape:
                 raise ValueError(
-                    f"mse mask shape mismatch: {mask.shape} vs {target.shape}"
+                    f"mse mask shape mismatch: {mask.data.shape} vs "
+                    f"{target.data.shape}"
                 )
-        batch = pred.data.shape[0]
-        err = pred.data - target
-        diff = mask * err
-        out = Tensor((diff * err).sum() / batch, context="mse")
+        diff = batch = None
+
+        def forward():
+            nonlocal diff, batch
+            batch = pred.data.shape[0]
+            err = pred.data - target.data
+            # no mask weighs every cell 1, and 1.0 * err is err
+            diff = err if mask is None else mask.data * err
+            return (diff * err).sum() / batch
 
         def backward(grad):
             pred.accumulate(grad * 2.0 * diff / batch)
 
-        return self._push(out, backward)
+        return self._record("mse", forward, backward)
 
     def bce(self, prob: Tensor, labels: np.ndarray | Tensor) -> Tensor:
         """Mean binary cross-entropy; probabilities clamped to [eps, 1-eps].
 
         `labels` is an array, which `check_labels` checks, or a constant
         whose values the caller has checked with it."""
-        labels = (labels.data if isinstance(labels, Tensor)
-                  else check_labels(labels))
-        if prob.data.shape != labels.shape:
+        if not isinstance(labels, Tensor):
+            labels = Constant.prechecked(check_labels(labels))
+        if prob.data.shape != labels.data.shape:
             raise ValueError(
-                f"bce shape mismatch: {prob.data.shape} vs {labels.shape}"
+                f"bce shape mismatch: {prob.data.shape} vs {labels.data.shape}"
             )
-        batch = labels.shape[0] if labels.ndim else 1
-        # maximum/minimum: np.clip's values without its Python overhead
-        clamped = np.minimum(np.maximum(prob.data, BCE_EPS), 1.0 - BCE_EPS)
-        inside = (prob.data > BCE_EPS) & (prob.data < 1.0 - BCE_EPS)
-        value = -(
-            labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped)
-        ).sum() / batch
-        out = Tensor(value, context="bce")
+        clamped = inside = y = batch = None
+
+        def forward():
+            nonlocal clamped, inside, y, batch
+            y = labels.data
+            batch = y.shape[0] if y.ndim else 1
+            # maximum/minimum: np.clip's values without its Python overhead
+            clamped = np.minimum(np.maximum(prob.data, BCE_EPS), 1.0 - BCE_EPS)
+            inside = (prob.data > BCE_EPS) & (prob.data < 1.0 - BCE_EPS)
+            return -(
+                y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped)
+            ).sum() / batch
 
         def backward(grad):
-            d = (clamped - labels) / (clamped * (1.0 - clamped)) / batch
+            d = (clamped - y) / (clamped * (1.0 - clamped)) / batch
             prob.accumulate(grad * d * inside)
 
-        return self._push(out, backward)
+        return self._record("bce", forward, backward)
+
+
+def _as_constant(values: np.ndarray | Tensor) -> Tensor:
+    """A tensor as it is; an array as a constant over its float64 values,
+    unscanned: a primitive's output check catches what is not finite."""
+    if isinstance(values, Tensor):
+        return values
+    return Constant.prechecked(np.asarray(values, dtype=np.float64))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -166,19 +166,52 @@ class TrainConfig:
             raise ValueError(f"mode must be 'pft' or 'fft', got {self.mode!r}")
 
 
-def _targets_slice(dataset: Dataset, idx: np.ndarray) -> BatchTargets:
-    """The targets of rows `idx`, the response as a constant of labels that
-    `check_labels` has checked."""
-    return BatchTargets(
-        response=Constant.prechecked(check_labels(dataset.response[idx])),
-        pathway=dataset.pathway[idx],
-        pathway_mask=dataset.pathway_mask[idx],
-        biomarkers=dataset.biomarkers[idx],
-        biomarker_mask=dataset.biomarker_mask[idx],
-        aux={task: getattr(dataset, task)[idx] for task in AUX_TASKS},
-        aux_masks={task: getattr(dataset, f"{task}_mask")[idx]
-                   for task in AUX_TASKS},
-    )
+def _step_blocks(dataset: Dataset, train_idx: np.ndarray) -> list:
+    """The arrays that a training step reads besides its input rows, one
+    row per training row, in the order `_RecordedStep` binds them: the
+    treatment rows, checked by `treatment_constant`, the [n, 1] label
+    column, checked by `check_labels`, then each target block and its mask
+    (`BatchTargets` order, the auxiliary tasks in AUX_TASKS order)."""
+    targets = ("pathway", "pathway_mask", "biomarkers", "biomarker_mask",
+               *AUX_TASKS, *(f"{task}_mask" for task in AUX_TASKS))
+    return [treatment_constant(dataset.treatments[train_idx]).data,
+            check_labels(dataset.response[train_idx])[:, None],
+            *(getattr(dataset, name)[train_idx] for name in targets)]
+
+
+class _RecordedStep:
+    """The forward pass and loss of one training step, recorded once for
+    one batch size and replayed for every later batch of that size.
+
+    The tape reads its batch from `Constant` slots: `x`, a buffer of its
+    own that each step gathers its input rows into, and one slot per
+    `_step_blocks` array, which each step points at that array's rows."""
+
+    def __init__(self, step, inputs: np.ndarray, batch: np.ndarray,
+                 blocks: list, heads, weights: LossWeights):
+        self.x = Constant.prechecked(np.take(inputs, batch, axis=0))
+        self.slots = [Constant.prechecked(b) for b in blocks]
+        treatments, labels, pathway, pathway_mask, bio, bio_mask, *aux = (
+            self.slots)
+        n = len(AUX_TASKS)
+        targets = BatchTargets(
+            response=labels, pathway=pathway, pathway_mask=pathway_mask,
+            biomarkers=bio, biomarker_mask=bio_mask,
+            aux=dict(zip(AUX_TASKS, aux[:n])),
+            aux_masks=dict(zip(AUX_TASKS, aux[n:])))
+        self.tape = Tape()
+        out = step(self.tape, self.x, treatments, heads)
+        self.total, self.breakdown = composite_loss(self.tape, out, targets,
+                                                    weights)
+
+    def replay(self, inputs: np.ndarray, batch: np.ndarray,
+               blocks: list) -> None:
+        # mode="raise" would gather into a temporary and copy it over; the
+        # rows were indexed at loop entry, so "wrap" reads the same ones
+        np.take(inputs, batch, axis=0, out=self.x.data, mode="wrap")
+        for slot, block in zip(self.slots, blocks):
+            slot.data = block
+        self.tape.replay()
 
 
 def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
@@ -193,10 +226,13 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
     encoder trains, `inputs` being `x_norm`, and to `Model.head` when it is
     frozen, `inputs` being the table of pooled rows: `pooled` (from
     `fold_inputs`, and then `x_norm` may be None), or else `x_norm`'s
-    training rows pooled once. Every check runs once, at loop entry,
-    before any parameter changes: a finiteness scan of the training rows
-    of `inputs`, the gate's checks on the treatment rows
-    (`treatment_constant`) and the BCE's on the labels (`check_labels`)."""
+    training rows pooled once. The first step of each batch size records
+    that call and `composite_loss` on a tape (`_RecordedStep`); every
+    later step of that size replays it on its own rows. Every check runs
+    once, at loop entry, before any parameter changes: a finiteness scan
+    of the training rows of `inputs`, the gate's checks on the treatment
+    rows (`treatment_constant`) and the BCE's on the labels
+    (`check_labels`)."""
     model.set_mode(cfg.mode)
     heads = tuple(h for h in SIDE_HEADS if getattr(weights, h) > 0)
     params = model.reached_parameters(heads)
@@ -217,26 +253,28 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
         inputs = np.zeros((len(x_norm), pooled_rows.shape[1]))
         inputs[train_idx] = pooled_rows
     step = model.head if frozen else model.forward
-    treatments = treatment_constant(dataset.treatments[train_idx])
-    targets = _targets_slice(dataset, train_idx)
+    blocks = _step_blocks(dataset, train_idx)
+    recorded = {}   # batch size -> _RecordedStep
     history = []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(train_idx))
         order = train_idx[perm]
-        epoch_targets = targets.rows(perm)
-        epoch_treatments = treatments[perm]
+        epoch_blocks = [b[perm] for b in blocks]
         sums, n_batches = {}, 0
         for start in range(0, len(perm), cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
-            tape = Tape()
+            batch = order[rows]
+            batch_blocks = [b[rows] for b in epoch_blocks]
             zero_grads(params)
-            out = step(tape, Constant.prechecked(inputs[order[rows]]),
-                       epoch_treatments[rows], heads)
-            total, breakdown = composite_loss(
-                tape, out, epoch_targets.rows(rows), weights)
-            diffcore.backward(total, tape)
+            graph = recorded.get(len(batch))
+            if graph is None:
+                graph = recorded[len(batch)] = _RecordedStep(
+                    step, inputs, batch, batch_blocks, heads, weights)
+            else:
+                graph.replay(inputs, batch, batch_blocks)
+            diffcore.backward(graph.total, graph.tape)
             opt.step()
-            for k, v in breakdown.as_dict().items():
+            for k, v in graph.breakdown.as_dict().items():
                 sums[k] = sums.get(k, 0.0) + v
             n_batches += 1
         history.append({"epoch": epoch,
@@ -373,8 +411,8 @@ def _run_fold_seed(dataset: Dataset, fold, fold_id: int,
     `predict_proba` on its test rows. Under PFT every run trains on the one
     pooled table, as `Model(cfg, seed)` draws the frozen embedding first
     and the runs differ only in gating and loss weights, and is scored on
-    the table's test rows through `Model.head`, the call each training
-    step makes."""
+    the table's test rows through `Model.head`, the call that a training
+    step records."""
     test_idx = fold.test_idx
     treatments = dataset.treatments[test_idx]
     results = []

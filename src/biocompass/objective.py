@@ -35,55 +35,56 @@ class LossWeights:
             raise ValueError("classification weight must be positive")
 
 
+BREAKDOWN_TERMS = ("cls", "pathway", "align", "aux_tide", "aux_ipres",
+                   "aux_pheno", "total")
+
+
 @dataclass
 class LossBreakdown:
-    cls: float
-    pathway: float
-    align: float
-    aux_tide: float
-    aux_ipres: float
-    aux_pheno: float
-    total: float
+    """The loss terms of a recorded step as floats, each read from its tape
+    record when asked: after `Tape.replay`, the replayed step's values. A
+    term that its weight switched off reads 0.0."""
+    records: dict   # term name (BREAKDOWN_TERMS) -> its tape record
+
+    def __getattr__(self, name: str) -> float:
+        if name not in BREAKDOWN_TERMS:
+            raise AttributeError(name)
+        return self.as_dict()[name]
 
     def as_dict(self) -> dict:
-        return dict(vars(self))
+        records = self.records
+        return {name: float(records[name].data) if name in records else 0.0
+                for name in BREAKDOWN_TERMS}
 
 
 @dataclass
 class BatchTargets:
     """Per-batch supervision. Every block is present; a missing value has
-    mask 0, and a block the dataset has no columns for is 0 wide. The
-    response is an array of labels, or a constant of labels that the caller
-    has checked with `check_labels`, as `Tape.bce` takes them."""
-    response: np.ndarray | Tensor   # [B] in {0,1}
-    pathway: np.ndarray         # [B, 42]
-    pathway_mask: np.ndarray
-    biomarkers: np.ndarray      # [B, d_b]
-    biomarker_mask: np.ndarray
+    mask 0, and a block the dataset has no columns for is 0 wide. Each
+    block is an array or a constant. The response is a [B] array of
+    labels, or a [B, 1] constant column of labels that the caller has
+    checked with `check_labels`, as `Tape.bce` takes them."""
+    response: np.ndarray | Tensor   # [B] in {0,1}, or a [B, 1] constant
+    pathway: np.ndarray | Tensor    # [B, 42]
+    pathway_mask: np.ndarray | Tensor
+    biomarkers: np.ndarray | Tensor  # [B, d_b]
+    biomarker_mask: np.ndarray | Tensor
     aux: dict                   # task -> [B, d_k], one entry per AUX_TASKS
     aux_masks: dict
-
-    def rows(self, rows) -> "BatchTargets":
-        """The targets of the rows that `rows` indexes: views for a slice."""
-        return BatchTargets(
-            response=self.response[rows],
-            pathway=self.pathway[rows],
-            pathway_mask=self.pathway_mask[rows],
-            biomarkers=self.biomarkers[rows],
-            biomarker_mask=self.biomarker_mask[rows],
-            aux={task: a[rows] for task, a in self.aux.items()},
-            aux_masks={task: m[rows] for task, m in self.aux_masks.items()},
-        )
 
 
 def composite_loss(tape: Tape, outputs: ForwardOutputs, targets: BatchTargets,
                    weights: LossWeights) -> tuple[Tensor, LossBreakdown]:
-    """Weighted sum of the enabled terms; returns the tape node and a
-    float breakdown. Terms with weight zero are skipped entirely, so their
-    heads receive no gradient and may be absent (None) from `outputs`; the
-    auxiliary term is the unweighted sum of its per-task errors."""
-    # the classifier emits a [B, 1] column
-    cls = tape.bce(outputs.prob, targets.response[:, None])
+    """Weighted sum of the enabled terms; returns the tape node and the
+    breakdown of its terms. Terms with weight zero are skipped entirely, so
+    their heads receive no gradient and may be absent (None) from
+    `outputs`; the auxiliary term is the unweighted sum of its per-task
+    errors."""
+    # the classifier emits a [B, 1] column; a constant response is one
+    labels = targets.response
+    if not isinstance(labels, Tensor):
+        labels = labels[:, None]
+    cls = tape.bce(outputs.prob, labels)
     records = {"cls": cls}   # breakdown name -> tape record
     terms, term_weights = [cls], [weights.cls]
     if weights.pathway > 0:
@@ -102,11 +103,5 @@ def composite_loss(tape: Tape, outputs: ForwardOutputs, targets: BatchTargets,
         records.update(zip([f"aux_{task}" for task in AUX_TASKS], per_task))
         terms.append(tape.weighted_sum(per_task, [1.0] * len(per_task)))
         term_weights.append(weights.aux)
-    total = tape.weighted_sum(terms, term_weights)
-
-    def value(name):
-        return float(records[name].data) if name in records else 0.0
-    return total, LossBreakdown(
-        cls=value("cls"), pathway=value("pathway"), align=value("align"),
-        aux_tide=value("aux_tide"), aux_ipres=value("aux_ipres"),
-        aux_pheno=value("aux_pheno"), total=float(total.data))
+    records["total"] = tape.weighted_sum(terms, term_weights)
+    return records["total"], LossBreakdown(records)

@@ -68,7 +68,7 @@ class TestSchema:
 class TestTrain:
     def test_checkpoint_and_curve(self, config_path, tmp_path, capsys):
         out = tmp_path / "train_out"
-        assert main(["train", "--config", config_path,
+        assert main(["train", "--config", config_path, "--seed-list", "0",
                      "--out-dir", str(out)]) == 0
         model = Model.load(out / "model.npz")
         assert model.config.encoder.gene_count == 16
@@ -101,7 +101,8 @@ class TestTrain:
             monkeypatch.setattr(evaluation, name, fn, raising=False)
         out = tmp_path / "train_out"
         assert main(["train", "--config", config_path, "--dataset", path,
-                     f"--{mode}", "--out-dir", str(out)]) == 0
+                     "--seed-list", "0", f"--{mode}",
+                     "--out-dir", str(out)]) == 0
         [(_, rows)] = calls["fit_normalization"]
         assert rows.tolist() == list(range(80))
         assert len(calls["apply_normalization"]) == normalize_calls
@@ -119,6 +120,42 @@ class TestTrain:
             np.testing.assert_allclose(saved.params[name].data, p.data,
                                        rtol=1e-12, atol=1e-12 * scale,
                                        err_msg=name)
+
+    @pytest.mark.parametrize("config, seed_list, named", [
+        ("seedless", "3,4", "--seed-list gives seeds [3, 4]"),
+        ("seeded", None, "config key 'seeds' gives seeds [0, 1]"),
+    ])
+    def test_more_than_one_seed_fails_before_writing(
+            self, config_path, tmp_path, capsys, config, seed_list, named):
+        argv = ["train", "--out-dir", str(tmp_path / "out"), "--config",
+                seedless_config(tmp_path) if config == "seedless"
+                else config_path]
+        if seed_list:
+            argv += ["--seed-list", seed_list]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: train trains one model, but {named}" in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_trains_the_one_seed_given_or_seed_0(self, config_path,
+                                                 tmp_path):
+        def checkpoint(name, *argv):
+            out = tmp_path / name
+            assert main(["train", "--config", seedless_config(tmp_path),
+                         "--out-dir", str(out), *argv]) == 0
+            return (out / "model.npz").read_bytes()
+
+        assert checkpoint("seed4", "--seed-list", "4") \
+            != checkpoint("seed0", "--seed-list", "0")
+        assert checkpoint("default") == checkpoint("seed0", "--seed-list",
+                                                   "0")
+
+
+def seedless_config(tmp_path) -> str:
+    """The test config without its `seeds` key."""
+    path = tmp_path / "seedless.yaml"
+    path.write_text(SMALL_SYNTH.replace("seeds: [0, 1]\n", ""))
+    return str(path)
 
 
 class TestEval:
@@ -344,9 +381,9 @@ class TestErrors:
     def test_env_seed_fallback(self, config_path, tmp_path, monkeypatch):
         monkeypatch.setenv("BIOCOMPASS_SEED", "9")
         out = tmp_path / "env_seed"
-        main(["synth", "--out-dir", str(out)])  # no config: env seed applies
-        # with a config file present the config seeds win; just confirm the
-        # no-config path ran and produced the default synthetic dataset
+        # synth reads no seed; confirm the no-config path ran and produced
+        # the default synthetic dataset
+        main(["synth", "--out-dir", str(out)])
         assert (out / "synthetic.csv").exists()
 
 
@@ -407,7 +444,7 @@ class TestSeeds:
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIOCOMPASS_SEED", "x")
         out = tmp_path / "out"
-        assert main(["synth", "--out-dir", str(out)]) == 1
+        assert main(["eval", "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert "error: BIOCOMPASS_SEED: seed 'x' is not an integer" in err, err
         assert not out.exists()
@@ -415,10 +452,19 @@ class TestSeeds:
     def test_negative_env_seed_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIOCOMPASS_SEED", "-3")
         out = tmp_path / "out"
-        assert main(["synth", "--out-dir", str(out)]) == 1
+        assert main(["eval", "--out-dir", str(out)]) == 1
         assert ("error: 'seeds' must be nonnegative, got [-3]"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "schema"])
+    def test_command_without_seeds_ignores_env_seed(
+            self, config_path, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("BIOCOMPASS_SEED", "x")
+        argv = [command, "--config", config_path]
+        if command == "synth":
+            argv += ["--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
 
 
     @pytest.mark.parametrize("config, seed_list, seeds", [
@@ -438,9 +484,7 @@ class TestSeeds:
         argv = ["eval", "--dataset", str(tmp_path / "synthetic.csv"),
                 "--out-dir", str(tmp_path / "out")]
         if config == "seedless":
-            seedless = tmp_path / "seedless.yaml"
-            seedless.write_text(SMALL_SYNTH.replace("seeds: [0, 1]\n", ""))
-            argv += ["--config", str(seedless)]
+            argv += ["--config", seedless_config(tmp_path)]
         elif config == "seeded":
             argv += ["--config", config_path]
         if seed_list:

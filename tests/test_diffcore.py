@@ -581,3 +581,140 @@ def test_sigmoid_strictly_inside_unit_interval(values):
 def test_relu_nonnegative(values):
     tape = Tape()
     assert np.all(tape.relu(tape.constant(values)).data >= 0.0)
+
+
+def _probabilities(rng, shape):
+    """Values in [0, 1], one of them at a clamped end."""
+    p = rng.random(shape)
+    p.flat[rng.integers(p.size)] = float(rng.integers(2))
+    return p
+
+
+def _binary(rng, shape):
+    return (rng.random(shape) < 0.5).astype(float)
+
+
+# primitive -> (the primitive it records, build(tape, *leaves), leaves as
+# (shape, draw, takes a gradient)); a non-scalar output enters the loss
+# through an mse against a fixed target
+REPLAY_CASES = {
+    "matmul": ("matmul", lambda tape, a, b: tape.matmul(a, b),
+               [((3, 4), "normal", True), ((4, 2), "normal", True)]),
+    "linear": ("linear", lambda tape, x, w, b: tape.linear(x, w, b),
+               [((3, 4), "normal", True), ((4, 2), "normal", True),
+                ((2,), "normal", True)]),
+    "weighted_sum": ("weighted_sum",
+                     lambda tape, a, b, c: tape.weighted_sum(
+                         [a, b, c], [0.3, -1.7, 2.1]),
+                     [((3, 2), "normal", True)] * 3),
+    "mul": ("mul", lambda tape, a, b: tape.mul(a, b),
+            [((3, 2), "normal", True)] * 2),
+    "relu": ("relu", lambda tape, x: tape.relu(x),
+             [((4, 3), "normal", True)]),
+    "sigmoid": ("sigmoid", lambda tape, x: tape.sigmoid(x),
+                [((4, 3), "normal", True)]),
+    "softplus": ("softplus", lambda tape, x: tape.softplus(x),
+                 [((4, 3), "normal", True)]),
+    "mse": ("mse", lambda tape, p, target, mask: tape.mse(p, target, mask),
+            [((4, 3), "normal", True), ((4, 3), "normal", False),
+             ((4, 3), "binary", False)]),
+    "mse unmasked": ("mse", lambda tape, p, target: tape.mse(p, target),
+                     [((4, 3), "normal", True), ((4, 3), "normal", False)]),
+    "bce": ("bce", lambda tape, p, labels: tape.bce(p, labels),
+            [((5, 1), "probability", True), ((5, 1), "binary", False)]),
+}
+DRAWS = {"normal": lambda rng, shape: rng.normal(size=shape),
+         "binary": _binary, "probability": _probabilities}
+
+
+class TestReplay:
+    """A tape recorded on one set of leaf values and replayed after new
+    values of the same shapes are bound into its leaves gives, byte for
+    byte, what a new recording on the new values gives."""
+
+    @staticmethod
+    def leaves(case, values):
+        return [Tensor(v) if grad else Constant(v)
+                for (_, _, grad), v in zip(REPLAY_CASES[case][2], values)]
+
+    @staticmethod
+    def draw(case, rng):
+        return [DRAWS[kind](rng, shape)
+                for shape, kind, _ in REPLAY_CASES[case][2]]
+
+    @staticmethod
+    def record(case, tape, leaves):
+        """The primitive's output and the scalar loss over it."""
+        out = REPLAY_CASES[case][1](tape, *leaves)
+        loss = (out if out.shape == ()
+                else tape.mse(out, np.full(out.shape, 0.25)))
+        return out, loss
+
+    @pytest.mark.parametrize("case", list(REPLAY_CASES))
+    def test_replay_matches_a_new_recording(self, case):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            leaves = self.leaves(case, self.draw(case, rng))
+            tape = Tape()
+            out, loss = self.record(case, tape, leaves)
+            backward(loss, tape)
+
+            values = self.draw(case, rng)
+            for leaf, v in zip(leaves, values):
+                leaf.data, leaf.grad = v, None
+            tape.replay()
+            backward(loss, tape)
+
+            fresh_leaves = self.leaves(case, values)
+            fresh_tape = Tape()
+            fresh_out, fresh_loss = self.record(case, fresh_tape,
+                                                fresh_leaves)
+            backward(fresh_loss, fresh_tape)
+
+            assert out.data.tobytes() == fresh_out.data.tobytes()
+            assert loss.data.tobytes() == fresh_loss.data.tobytes()
+            for (o, _), (f, _) in zip(tape._records, fresh_tape._records):
+                assert o.grad.tobytes() == f.grad.tobytes()
+            for leaf, fresh in zip(leaves, fresh_leaves):
+                if fresh.grad is None:
+                    assert leaf.grad is None
+                else:
+                    assert leaf.grad.tobytes() == fresh.grad.tobytes()
+
+    @pytest.mark.parametrize("case", list(REPLAY_CASES))
+    def test_non_finite_rebound_value_raises_like_a_new_recording(self,
+                                                                  case):
+        prim = REPLAY_CASES[case][0]
+        named = 0
+        good = self.draw(case, np.random.default_rng(0))
+        for i in range(len(good)):
+            for bad in (np.nan, np.inf, -np.inf):
+                values = [v.copy() for v in good]
+                values[i].flat[1] = bad
+                leaves, fresh = self.leaves(case, good), self.leaves(case, good)
+                tape = Tape()
+                self.record(case, tape, leaves)
+                # rebound without a scan, as a training loop binds a slot
+                for leaf, v in zip([*leaves, *fresh], values * 2):
+                    leaf.data = v
+                with np.errstate(invalid="ignore", over="ignore"):
+                    try:
+                        self.record(case, Tape(), fresh)
+                    except NonFiniteError as exc:
+                        expected = str(exc)
+                    else:
+                        tape.replay()
+                        continue
+                    with pytest.raises(NonFiniteError) as raised:
+                        tape.replay()
+                assert str(raised.value) == expected, (i, bad)
+                named += expected == f"non-finite value in {prim}"
+        # the primitive itself catches some non-finite input
+        assert named > 0
+
+    def test_records_stay_output_backward_pairs(self):
+        tape = Tape()
+        x = Tensor([[1.0, -2.0]])
+        out = tape.relu(x)
+        [(recorded, backward_fn)] = tape._records
+        assert recorded is out and callable(backward_fn)

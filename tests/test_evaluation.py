@@ -18,11 +18,11 @@ from biocompass import diffcore, evaluation
 from biocompass.data import (Dataset, NormalizationStats, SyntheticSpec,
                              apply_normalization, fit_normalization,
                              generate_synthetic, normalize, split_by_group)
-from biocompass.diffcore import Adam, Tape, zero_grads
+from biocompass.diffcore import Adam, Constant, Tape, zero_grads
 from biocompass.evaluation import (ABLATION_CONFIGS, PROTOCOL_KEYS,
                                    AblationConfig, FoldSeedResult,
                                    MetricsReport, TrainConfig,
-                                   _distinct_runs, _targets_slice,
+                                   _distinct_runs,
                                    aggregate_cells, aggregate_rows,
                                    aggregate_seeds, compute_metrics,
                                    emit_report, make_model_config,
@@ -32,7 +32,7 @@ from biocompass.evaluation import (ABLATION_CONFIGS, PROTOCOL_KEYS,
                                    METRIC_NAMES, T_975)
 from biocompass import model as model_module
 from biocompass.model import Model
-from biocompass.objective import LossWeights, composite_loss
+from biocompass.objective import BatchTargets, LossWeights, composite_loss
 
 
 def brute_force_auc(scores, labels):
@@ -259,10 +259,25 @@ class TestRunProtocol:
             assert len(rep.rows) == 4
 
 
+def batch_targets(dataset, batch) -> BatchTargets:
+    """The targets of rows `batch`, as fresh arrays."""
+    return BatchTargets(
+        response=dataset.response[batch],
+        pathway=dataset.pathway[batch],
+        pathway_mask=dataset.pathway_mask[batch],
+        biomarkers=dataset.biomarkers[batch],
+        biomarker_mask=dataset.biomarker_mask[batch],
+        aux={task: getattr(dataset, task)[batch]
+             for task in model_module.AUX_TASKS},
+        aux_masks={task: getattr(dataset, f"{task}_mask")[batch]
+                   for task in model_module.AUX_TASKS})
+
+
 def train_pooling_each_batch(model, dataset, train_idx, x_norm, weights, cfg,
-                             seed):
-    """Reference training loop: every step runs the whole forward pass,
-    pooling included, on its own tape."""
+                             seed, pooled=None):
+    """Reference training loop: every step records its whole forward pass
+    on a new tape, pooling included, or from its rows of the table
+    `pooled` when one is given, with targets sliced from `dataset`."""
     model.set_mode(cfg.mode)
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr)
@@ -275,9 +290,14 @@ def train_pooling_each_batch(model, dataset, train_idx, x_norm, weights, cfg,
             batch = order[start:start + cfg.batch_size]
             tape = Tape()
             zero_grads(params)
-            out = model.forward(tape, x_norm[batch], dataset.treatments[batch])
+            if pooled is None:
+                out = model.forward(tape, x_norm[batch],
+                                    dataset.treatments[batch])
+            else:
+                out = model.head(tape, Constant(pooled[batch]),
+                                 dataset.treatments[batch])
             total, breakdown = composite_loss(
-                tape, out, _targets_slice(dataset, batch), weights)
+                tape, out, batch_targets(dataset, batch), weights)
             diffcore.backward(total, tape)
             opt.step()
             for k, v in breakdown.as_dict().items():
@@ -286,6 +306,12 @@ def train_pooling_each_batch(model, dataset, train_idx, x_norm, weights, cfg,
         history.append({"epoch": epoch,
                         **{k: v / n_batches for k, v in sums.items()}})
     return history
+
+
+def recorded_graphs(n_rows, batch_size) -> int:
+    """How many steps `train_model` records: one per distinct batch size."""
+    return len({min(batch_size, n_rows - start)
+                for start in range(0, n_rows, batch_size)})
 
 
 @pytest.fixture(scope="module")
@@ -345,9 +371,9 @@ class TestTrainModel:
                                                   ("fft", False)])
     def test_steps_call_head_under_pft_and_forward_under_fft(
             self, fold_inputs, monkeypatch, mode, with_table):
-        """With the encoder frozen a step starts from pooled rows, so it
-        calls `Model.head` and never `Model.forward`; with the encoder
-        trained every step calls `Model.forward`, which calls `head`."""
+        """With the encoder frozen a step starts from pooled rows, so its
+        recording calls `Model.head` and never `Model.forward`; with the
+        encoder trained it calls `Model.forward`, which calls `head`."""
         dataset, train_idx, x_norm = fold_inputs
         calls = []
         for name in ("forward", "head"):
@@ -365,9 +391,11 @@ class TestTrainModel:
         cfg = TrainConfig(epochs=2, mode=mode)
         train_model(model, dataset, train_idx, x_norm, LossWeights(), cfg, 5,
                     pooled=table)
-        steps = cfg.epochs * math.ceil(len(train_idx) / cfg.batch_size)
+        # one recorded step per batch size: every other step is a replay
+        graphs = recorded_graphs(len(train_idx), cfg.batch_size)
+        assert graphs == 2
         step = ["head"] if mode == "pft" else ["forward", "head"]
-        assert calls == step * steps
+        assert calls == step * graphs
 
     def train_both(self, fold_inputs, mode):
         dataset, train_idx, x_norm = fold_inputs
@@ -420,6 +448,61 @@ class TestTrainModel:
         bad[np.setdiff1d(np.arange(len(dataset)), train_idx)[0], 7] = np.nan
         train_model(Model(model_cfg, seed=3), dataset, train_idx, bad,
                     LossWeights(), cfg, 5)
+
+
+def with_varied_masks(dataset, seed=0):
+    """`dataset` with every target mask drawn at random, so that masks, like
+    labels and target values, differ from batch to batch."""
+    rng = np.random.default_rng(seed)
+    masks = ("pathway_mask", "biomarker_mask",
+             *(f"{task}_mask" for task in model_module.AUX_TASKS))
+    return replace(dataset, **{
+        name: (rng.random(getattr(dataset, name).shape) < 0.6).astype(float)
+        for name in masks})
+
+
+class TestReplayedSteps:
+    """`train_model` records one step per batch size and replays it with
+    each later batch bound into its slots; the reference records a new
+    tape at every step. Under FFT, and under PFT from the same pooled
+    table, the two agree bit for bit; under PFT from `x_norm` the
+    reference pools each batch on its own, which changes only BLAS
+    summation order."""
+
+    @pytest.mark.parametrize("inputs", ["pft table", "pft x_norm", "fft"])
+    @pytest.mark.parametrize("config", list(ABLATION_CONFIGS))
+    def test_every_config_trains_like_a_new_tape_per_step(
+            self, fold_inputs, inputs, config):
+        dataset, train_idx, x_norm = fold_inputs
+        dataset = with_varied_masks(dataset)
+        mode = inputs.split()[0]
+        model_cfg, weights = ABLATION_CONFIGS[config].apply(
+            make_model_config(dataset, token_dim=8, gate_hidden=8),
+            LossWeights(pathway=0.1, align=0.3, aux=0.2))
+        cfg = TrainConfig(epochs=3, lr=1e-2, mode=mode)
+        assert len(train_idx) % cfg.batch_size
+        fast, ref = Model(model_cfg, seed=3), Model(model_cfg, seed=3)
+        table = None
+        if inputs == "pft table":
+            table = fast.pooled_normalized(
+                dataset.log_expression,
+                fit_normalization(dataset.log_expression, train_idx))
+        args = (dataset, train_idx, x_norm, weights, cfg, 5)
+        fast_hist = train_model(fast, *args, pooled=table)
+        ref_hist = train_pooling_each_batch(ref, *args, pooled=table)
+        if inputs == "pft x_norm":
+            for a, b in zip(fast_hist, ref_hist):
+                assert a.keys() == b.keys()
+                for k in a:
+                    assert abs(a[k] - b[k]) <= 1e-12 * abs(b[k]), k
+            for name, p in fast.params.items():
+                q = ref.params[name].data
+                assert (np.linalg.norm(p.data - q)
+                        <= 1e-12 * np.linalg.norm(q)), name
+            return
+        assert fast_hist == ref_hist
+        for name, p in fast.params.items():
+            assert p.data.tobytes() == ref.params[name].data.tobytes(), name
 
 
 class TestPooledTable:
@@ -648,9 +731,9 @@ class TestTrainsOnlyWhatTheLossReads:
         model = Model(model_cfg, seed=3)
         before = {n: p.data.copy() for n, p in model.params.items()}
         train_model(model, dataset, train_idx, x_norm, weights, cfg, 5)
-        steps = cfg.epochs * math.ceil(len(train_idx) / cfg.batch_size)
+        graphs = recorded_graphs(len(train_idx), cfg.batch_size)
         for part, name in HEAD_METHODS.items():
-            assert calls[name] == (0 if part == off else steps), part
+            assert calls[name] == (0 if part == off else graphs), part
         [opt] = optimizers
         trained = {p.name for p, _ in opt._slots}
         for name, p in model.params.items():
