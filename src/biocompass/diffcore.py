@@ -3,8 +3,9 @@
 A `Tape` records every primitive executed during a forward pass; `backward`
 walks the records in reverse to accumulate gradients into the tensors that
 produced the loss. `Tape.replay` re-runs a recorded forward pass on new
-values bound into its leaves, so a graph whose shapes repeat is built once
-and run many times. Everything is float64 and single-threaded.
+values bound into its leaves, writing every output into one preallocated
+arena, so a graph whose shapes repeat is built once and run many times.
+Everything is float64 and single-threaded.
 """
 from __future__ import annotations
 
@@ -103,20 +104,13 @@ class Tensor:
 
 class Constant(Tensor):
     """A leaf that takes no gradient: primitives skip the products meant for
-    it, and whatever still reaches `accumulate` is dropped.
-
-    Indexing a constant gives the constant of the indexed values, unscanned:
-    rows of an array checked once, where it was built, are not scanned
-    again."""
+    it, and whatever still reaches `accumulate` is dropped."""
 
     __slots__ = ()
     needs_grad = False
 
     def __init__(self, data, context: str = "constant"):
         super().__init__(data, context)
-
-    def __getitem__(self, key) -> "Constant":
-        return self.prechecked(self.data[key])
 
     def accumulate(self, grad: np.ndarray) -> None:
         pass
@@ -164,29 +158,61 @@ class Tape:
     runs every recorded forward again, in order, on the current `.data` of
     its inputs, so the same graph serves a new batch whose values were
     rebound into the same leaves (slots). `backward` walks the records in
-    reverse after a recording or a replay."""
+    reverse after a recording or a replay.
+
+    A forward takes the array to write its output into, or None to
+    allocate one, as a recording does. At its first replay a tape moves
+    every output into its slice of one float64 arena, which each replay
+    then overwrites in place; a replay after new records moves them all
+    into a new arena."""
 
     def __init__(self):
         self._records = []    # (output, backward), in recording order
         self._forwards = []   # (output, forward, context), in the same order
+        self._arena = None    # every output's values, from the first replay
+        self._bound = 0       # how many records the arena holds
 
     def _record(self, context: str, forward, backward_fn) -> Tensor:
         """Run `forward` and record its output under `context`, the name
         that its finiteness check gives."""
-        out = Tensor(forward(), context=context)
+        out = Tensor(forward(None), context=context)
         self._records.append((out, backward_fn))
         self._forwards.append((out, forward, context))
         return out
 
     def replay(self) -> None:
         """Clear each recorded output's gradient and recompute its value
-        from the current values of its inputs, with the recording's
-        finiteness check. Leaves are the caller's: their values are
-        whatever was bound into them, and their gradients are not
-        cleared here."""
-        for out, forward, context in self._forwards:
-            out.grad = None
-            out.data = _finite(forward(), context)
+        from the current values of its inputs. Leaves are the caller's:
+        their values are whatever was bound into them, and their gradients
+        are not cleared here.
+
+        Floating-point warnings are off for the whole pass, and the outputs
+        are checked at once: the arena's sum is finite whenever they all
+        are. Only a sum that is not finite is followed by a scan in
+        recording order, which raises the error a new recording raises at
+        the first non-finite output, and lets finite values whose sum
+        overflows through."""
+        if self._bound != len(self._forwards):
+            self._bind_arena()
+        with np.errstate(all="ignore"):
+            for out, forward, _ in self._forwards:
+                out.grad = None
+                forward(out.data)
+            total = np.add.reduce(self._arena)
+        if not math.isfinite(total):
+            for out, _, context in self._forwards:
+                _finite(out.data, context)
+
+    def _bind_arena(self) -> None:
+        """Move every record's output into its slice of a new arena; a
+        record added after an earlier replay joins it here."""
+        sizes = [out.data.size for out, _, _ in self._forwards]
+        self._arena = np.empty(sum(sizes))
+        start = 0
+        for (out, _, _), size in zip(self._forwards, sizes):
+            out.data = self._arena[start:start + size].reshape(out.data.shape)
+            start += size
+        self._bound = len(self._forwards)
 
     # ---- primitives -------------------------------------------------
 
@@ -200,8 +226,8 @@ class Tape:
                 f"matmul dimension mismatch: {a.data.shape} x {b.data.shape}"
             )
 
-        def forward():
-            return a.data @ b.data
+        def forward(out):
+            return np.matmul(a.data, b.data, out=out)
 
         def backward(grad):
             if a.needs_grad:
@@ -221,8 +247,10 @@ class Tape:
                 f"+ {b.data.shape}"
             )
 
-        def forward():
-            return x.data @ w.data + b.data
+        def forward(out):
+            out = np.matmul(x.data, w.data, out=out)
+            out += b.data
+            return out
 
         def backward(grad):
             if x.needs_grad:
@@ -245,26 +273,36 @@ class Tape:
         shapes = {t.data.shape for t in terms}
         if len(shapes) != 1:
             raise ValueError(f"weighted_sum shape mismatch: {sorted(shapes)}")
-        first, *rest = zip(terms, weights)
+        (t0, w0), *rest = zip(terms, weights)
 
-        def forward():
-            total = first[0].data * first[1]
+        def forward(out):
+            out = np.multiply(t0.data, w0, out=out)
             for t, w in rest:
-                total = total + t.data * w
-            return total
+                out += t.data * w
+            return out
+
+        def scalar_forward(out):
+            # 0-d terms, as in a sum of losses: scalars round as 0-d ufunc
+            # calls do, at a fraction of their cost per step
+            total = float(t0.data) * w0
+            for t, w in rest:
+                total += float(t.data) * w
+            return _into(out, total)
 
         def backward(grad):
             for t, w in zip(terms, weights):
                 t.accumulate(grad * w)
 
-        return self._record("weighted_sum", forward, backward)
+        return self._record("weighted_sum",
+                            scalar_forward if shapes == {()} else forward,
+                            backward)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.shape != b.data.shape:
             raise ValueError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
 
-        def forward():
-            return a.data * b.data
+        def forward(out):
+            return np.multiply(a.data, b.data, out=out)
 
         def backward(grad):
             a.accumulate(grad * b.data)
@@ -275,11 +313,17 @@ class Tape:
     def relu(self, x: Tensor) -> Tensor:
         mask = None
 
-        def forward():
+        def forward(out):
             nonlocal mask
+            if out is None:
+                # arrays, 0-d ones too, for a replay to write into
+                mask = np.empty(x.data.shape, dtype=bool)
+                out = np.empty(x.data.shape)
             # subgradient at 0 is defined as 0
-            mask = x.data > 0.0
-            return np.where(mask, x.data, 0.0)
+            np.greater(x.data, 0.0, out=mask)
+            out.fill(0.0)
+            np.copyto(out, x.data, where=mask)
+            return out
 
         def backward(grad):
             x.accumulate(grad * mask)
@@ -289,9 +333,10 @@ class Tape:
     def sigmoid(self, x: Tensor) -> Tensor:
         s = None
 
-        def forward():
+        def forward(out):
             nonlocal s
-            s = _stable_sigmoid(x.data)
+            s = (_stable_sigmoid(x.data) if out is None
+                 else _sigmoid_into(x.data, out))
             return s
 
         def backward(grad):
@@ -302,11 +347,20 @@ class Tape:
     def softplus(self, x: Tensor) -> Tensor:
         s = None
 
-        def forward():
+        def forward(out):
             nonlocal s
-            s = _stable_sigmoid(x.data)
+            if out is None:
+                # arrays, 0-d ones too, for a replay to write into
+                s = np.asarray(_stable_sigmoid(x.data))
+                out = np.empty(x.data.shape)
+            else:
+                _sigmoid_into(x.data, s)
             # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), which never overflows
-            return np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
+            np.abs(x.data, out=out)
+            np.negative(out, out=out)
+            np.exp(out, out=out)
+            np.log1p(out, out=out)
+            return np.add(np.maximum(x.data, 0.0), out, out=out)
 
         def backward(grad):
             x.accumulate(grad * s)
@@ -334,13 +388,13 @@ class Tape:
                 )
         diff = batch = None
 
-        def forward():
+        def forward(out):
             nonlocal diff, batch
             batch = pred.data.shape[0]
             err = pred.data - target.data
             # no mask weighs every cell 1, and 1.0 * err is err
             diff = err if mask is None else mask.data * err
-            return (diff * err).sum() / batch
+            return _into(out, np.add.reduce(diff * err, axis=None) / batch)
 
         def backward(grad):
             pred.accumulate(grad * 2.0 * diff / batch)
@@ -360,22 +414,32 @@ class Tape:
             )
         clamped = inside = y = batch = None
 
-        def forward():
+        def forward(out):
             nonlocal clamped, inside, y, batch
             y = labels.data
             batch = y.shape[0] if y.ndim else 1
             # maximum/minimum: np.clip's values without its Python overhead
             clamped = np.minimum(np.maximum(prob.data, BCE_EPS), 1.0 - BCE_EPS)
             inside = (prob.data > BCE_EPS) & (prob.data < 1.0 - BCE_EPS)
-            return -(
-                y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped)
-            ).sum() / batch
+            return _into(out, -np.add.reduce(
+                y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped),
+                axis=None) / batch)
 
         def backward(grad):
             d = (clamped - y) / (clamped * (1.0 - clamped)) / batch
             prob.accumulate(grad * d * inside)
 
         return self._record("bce", forward, backward)
+
+
+def _into(out: np.ndarray | None, value):
+    """A 0-d forward's `value`, a scalar, written into the 0-d `out` when
+    one is given. Scalars round as 0-d arrays do, and a ufunc call on a
+    0-d array costs about ten times a scalar operation."""
+    if out is None:
+        return value
+    out[()] = value
+    return out
 
 
 def _as_constant(values: np.ndarray | Tensor) -> Tensor:
@@ -393,6 +457,18 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-x))
     return np.minimum(np.maximum(s, SIGMOID_LO), SIGMOID_HI)
+
+
+def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`_stable_sigmoid(x)` by the same operations, in place in `out`, for
+    a replay: its allocations and its `np.errstate` cost more than the
+    arithmetic on small arrays, and `Tape.replay` silences the overflow."""
+    np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    np.maximum(out, SIGMOID_LO, out=out)
+    return np.minimum(out, SIGMOID_HI, out=out)
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -421,11 +497,12 @@ class Adam:
     copied in, and later writes add to it in place. A step zeroes the
     slices of parameters that got no gradient, copies in a gradient
     assigned from outside, checks the whole gradient vector for
-    finiteness, then runs the textbook update in place, block by block
-    (`ADAM_BLOCK` elements), in two preallocated block-sized scratch
-    vectors. `trainable` is read here, once: a parameter frozen at
-    construction is never touched by `step`, and flipping the flag later
-    has no effect on this optimizer.
+    finiteness (its sum, and a scan only when that is not finite), then
+    runs the textbook update in place, block by block (`ADAM_BLOCK`
+    elements), in two preallocated block-sized scratch vectors.
+    `trainable` is read here, once: a parameter frozen at construction is
+    never touched by `step`, and flipping the flag later has no effect on
+    this optimizer.
     """
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
@@ -466,10 +543,15 @@ class Adam:
                 self._g[span] = 0.0
             elif grad is not p.tensor.store:  # assigned from outside
                 self._g[span] = grad.ravel()
-        if not np.isfinite(self._g).all():
-            bad = next(p for p, span in self._slots
-                       if not np.isfinite(self._g[span]).all())
-            raise NonFiniteError(f"non-finite gradient for parameter {bad.name}")
+        # finite values sum to a finite value unless the sum overflows, so
+        # only a sum that is not finite calls for a scan
+        with np.errstate(all="ignore"):
+            total = np.add.reduce(self._g)
+        if not math.isfinite(total):
+            for p, span in self._slots:
+                if not np.isfinite(self._g[span]).all():
+                    raise NonFiniteError(
+                        f"non-finite gradient for parameter {p.name}")
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         b1t = 1.0 - b1 ** self.t

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -149,14 +150,22 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        for name in ("lr", "epochs", "batch_size"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite, got {getattr(self, name)}")
         for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            # a float would fail late, in range(), or truncate; True is 1;
+            # a numpy integer is taken as the int it holds
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an int, got {value!r} "
+                                 f"({type(value).__name__})") from None
+            setattr(self, name, value)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if not math.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if not 0 < self.threshold < 1:
@@ -166,33 +175,40 @@ class TrainConfig:
             raise ValueError(f"mode must be 'pft' or 'fft', got {self.mode!r}")
 
 
-def _step_blocks(dataset: Dataset, train_idx: np.ndarray) -> list:
+def _step_table(dataset: Dataset, train_idx: np.ndarray
+                ) -> tuple[np.ndarray, list]:
     """The arrays that a training step reads besides its input rows, one
-    row per training row, in the order `_RecordedStep` binds them: the
-    treatment rows, checked by `treatment_constant`, the [n, 1] label
-    column, checked by `check_labels`, then each target block and its mask
-    (`BatchTargets` order, the auxiliary tasks in AUX_TASKS order)."""
+    row per training row, joined into one [n, k] table, and the width of
+    each. They come in the order `_RecordedStep` binds them: the treatment
+    rows, checked by `treatment_constant`, the label column, checked by
+    `check_labels`, then each target block and its mask (`BatchTargets`
+    order, the auxiliary tasks in AUX_TASKS order)."""
     targets = ("pathway", "pathway_mask", "biomarkers", "biomarker_mask",
                *AUX_TASKS, *(f"{task}_mask" for task in AUX_TASKS))
-    return [treatment_constant(dataset.treatments[train_idx]).data,
-            check_labels(dataset.response[train_idx])[:, None],
-            *(getattr(dataset, name)[train_idx] for name in targets)]
+    blocks = [treatment_constant(dataset.treatments[train_idx]).data,
+              check_labels(dataset.response[train_idx])[:, None],
+              *(getattr(dataset, name)[train_idx] for name in targets)]
+    return np.concatenate(blocks, axis=1), [b.shape[1] for b in blocks]
 
 
 class _RecordedStep:
     """The forward pass and loss of one training step, recorded once for
     one batch size and replayed for every later batch of that size.
 
-    The tape reads its batch from `Constant` slots: `x`, a buffer of its
-    own that each step gathers its input rows into, and one slot per
-    `_step_blocks` array, which each step points at that array's rows."""
+    The tape reads its batch from `Constant` slots over two buffers of its
+    own, which each step gathers its rows into: `x`, the input rows, and
+    `rows`, the step's rows of the `_step_table`, whose fixed column views
+    are the other slots."""
 
-    def __init__(self, step, inputs: np.ndarray, batch: np.ndarray,
-                 blocks: list, heads, weights: LossWeights):
-        self.x = Constant.prechecked(np.take(inputs, batch, axis=0))
-        self.slots = [Constant.prechecked(b) for b in blocks]
+    def __init__(self, step, inputs: np.ndarray, table: np.ndarray,
+                 widths: list, batch: np.ndarray, pos: np.ndarray, heads,
+                 weights: LossWeights):
+        self.inputs, self.table = inputs, table
+        self.x = np.take(inputs, batch, axis=0)
+        self.rows = np.take(table, pos, axis=0)
         treatments, labels, pathway, pathway_mask, bio, bio_mask, *aux = (
-            self.slots)
+            Constant.prechecked(view) for view in
+            np.split(self.rows, np.cumsum(widths)[:-1], axis=1))
         n = len(AUX_TASKS)
         targets = BatchTargets(
             response=labels, pathway=pathway, pathway_mask=pathway_mask,
@@ -200,17 +216,17 @@ class _RecordedStep:
             aux=dict(zip(AUX_TASKS, aux[:n])),
             aux_masks=dict(zip(AUX_TASKS, aux[n:])))
         self.tape = Tape()
-        out = step(self.tape, self.x, treatments, heads)
+        out = step(self.tape, Constant.prechecked(self.x), treatments, heads)
         self.total, self.breakdown = composite_loss(self.tape, out, targets,
                                                     weights)
 
-    def replay(self, inputs: np.ndarray, batch: np.ndarray,
-               blocks: list) -> None:
+    def replay(self, batch: np.ndarray, pos: np.ndarray) -> None:
+        """Gather rows `batch` of the inputs and rows `pos` of the table
+        into the slots' buffers, and replay the tape."""
         # mode="raise" would gather into a temporary and copy it over; the
         # rows were indexed at loop entry, so "wrap" reads the same ones
-        np.take(inputs, batch, axis=0, out=self.x.data, mode="wrap")
-        for slot, block in zip(self.slots, blocks):
-            slot.data = block
+        np.take(self.inputs, batch, axis=0, out=self.x, mode="wrap")
+        np.take(self.table, pos, axis=0, out=self.rows, mode="wrap")
         self.tape.replay()
 
 
@@ -228,11 +244,12 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
     `fold_inputs`, and then `x_norm` may be None), or else `x_norm`'s
     training rows pooled once. The first step of each batch size records
     that call and `composite_loss` on a tape (`_RecordedStep`); every
-    later step of that size replays it on its own rows. Every check runs
-    once, at loop entry, before any parameter changes: a finiteness scan
-    of the training rows of `inputs`, the gate's checks on the treatment
-    rows (`treatment_constant`) and the BCE's on the labels
-    (`check_labels`)."""
+    later step of that size gathers its own rows, of `inputs` and of the
+    `_step_table` joined at loop entry, into the recording's buffers and
+    replays it. Every check runs once, at loop entry, before any parameter
+    changes: a finiteness scan of the training rows of `inputs`, the
+    gate's checks on the treatment rows (`treatment_constant`) and the
+    BCE's on the labels (`check_labels`)."""
     model.set_mode(cfg.mode)
     heads = tuple(h for h in SIDE_HEADS if getattr(weights, h) > 0)
     params = model.reached_parameters(heads)
@@ -253,25 +270,23 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
         inputs = np.zeros((len(x_norm), pooled_rows.shape[1]))
         inputs[train_idx] = pooled_rows
     step = model.head if frozen else model.forward
-    blocks = _step_blocks(dataset, train_idx)
+    table, widths = _step_table(dataset, train_idx)
     recorded = {}   # batch size -> _RecordedStep
     history = []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(train_idx))
         order = train_idx[perm]
-        epoch_blocks = [b[perm] for b in blocks]
         sums, n_batches = {}, 0
         for start in range(0, len(perm), cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
-            batch = order[rows]
-            batch_blocks = [b[rows] for b in epoch_blocks]
+            pos, batch = perm[rows], order[rows]
             zero_grads(params)
             graph = recorded.get(len(batch))
             if graph is None:
                 graph = recorded[len(batch)] = _RecordedStep(
-                    step, inputs, batch, batch_blocks, heads, weights)
+                    step, inputs, table, widths, batch, pos, heads, weights)
             else:
-                graph.replay(inputs, batch, batch_blocks)
+                graph.replay(batch, pos)
             diffcore.backward(graph.total, graph.tape)
             opt.step()
             for k, v in graph.breakdown.as_dict().items():

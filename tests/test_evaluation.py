@@ -336,6 +336,28 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=rf"^{name} must be .*, got "):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value, shown", [
+        ("epochs", 2.5, "2.5 (float)"), ("batch_size", 8.5, "8.5 (float)"),
+        ("epochs", True, "True (bool)"), ("batch_size", False, "False (bool)"),
+        ("epochs", 3.0, "3.0 (float)"), ("batch_size", "32", "'32' (str)"),
+        ("epochs", np.float64(3.0), f"{np.float64(3.0)!r} (float64)")])
+    def test_count_that_is_not_an_int_rejected(self, name, value, shown):
+        # a float used to fail only inside run_protocol, as a TypeError
+        # from range(), and epochs=True trained one epoch
+        with pytest.raises(ValueError) as raised:
+            TrainConfig(**{name: value})
+        assert str(raised.value) == f"{name} must be an int, got {shown}"
+
+    def test_int_counts_accepted(self):
+        cfg = TrainConfig(epochs=2, batch_size=8)
+        assert (cfg.epochs, cfg.batch_size) == (2, 8)
+
+    def test_numpy_int_counts_accepted_as_ints(self):
+        # a count computed with numpy, say over np.arange in a sweep
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8))
+        assert (cfg.epochs, cfg.batch_size) == (3, 8)
+        assert type(cfg.epochs) is int and type(cfg.batch_size) is int
+
 
 class TestTrainModel:
     @pytest.mark.parametrize("mode", ["pft", "fft"])

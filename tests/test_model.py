@@ -136,7 +136,7 @@ class TestGate:
             raise AssertionError("checked twice")
         monkeypatch.setattr(model_module, "treatment_constant", refuse)
         tape = Tape()
-        out = model.forward(tape, np.ones((2, 5)), checked[0:2], heads=())
+        out = model.forward(tape, np.ones((2, 5)), checked, heads=())
         assert out.prob.data.ravel().tobytes() == expected.tobytes()
 
     def test_gate_bound_and_shrinkage(self, rng):
