@@ -3,9 +3,10 @@
 Three signature kinds: mean over a gene set, sum of pairwise expression-ratio
 indicators, and the first principal component of a gene set. Each signature
 feeds an L2 logistic regression, fitted by scipy's L-BFGS-B on the loss and
-gradient of the differentiation core; there are also plain LR baselines on
-precomputed biomarker columns and on expression (optionally PCA-compressed
-first). Principal axes come from one thin SVD of the centred training rows.
+gradient of the differentiation core, recorded once per fit and replayed at
+each evaluation; there are also plain LR baselines on precomputed biomarker
+columns and on expression (optionally PCA-compressed first). Principal axes
+come from one thin SVD of the centred training rows.
 """
 from __future__ import annotations
 
@@ -178,7 +179,7 @@ class LinearModel:
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         x = (np.atleast_2d(features) - self.feature_mean) / self.feature_std
-        return diffcore._stable_sigmoid(x @ self.weights + self.bias)
+        return Tape().sigmoid(Constant(x @ self.weights + self.bias)).data
 
 
 def fit_logreg(features: np.ndarray, labels: np.ndarray, l2: float = L2,
@@ -190,9 +191,11 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray, l2: float = L2,
     most `GRAD_TOL`.
 
     The standardized features and the labels are checked once per fit,
-    before the first evaluation, with the checks of `tape.constant`
-    (finite) and `Tape.bce` (`check_labels`); each evaluation reads them
-    unscanned."""
+    with the checks of `tape.constant` (finite) and `Tape.bce`
+    (`check_labels`). The loss is recorded once, at the starting point;
+    each evaluation binds `theta` into the weight and bias leaves and
+    replays it, so a non-finite `theta` is caught by the replay's check
+    of the `linear` output."""
     # imported here: scipy.optimize adds about 0.3 s to every CLI start-up
     from scipy.optimize import minimize
 
@@ -207,19 +210,21 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray, l2: float = L2,
     x = Constant((features - mean) / std)
     y = Constant.prechecked(check_labels(labels)[:, None])
     c = 0.5 * l2 / n
+    rng = np.random.default_rng(seed)
+    theta0 = np.append(0.01 * rng.normal(size=d), 0.0)
+    tape = Tape()
+    w, b = Tensor(theta0[:d, None]), Tensor(theta0[d:])
+    loss = tape.bce(tape.sigmoid(tape.linear(x, w, b)), y)
 
     def loss_and_grad(theta):
-        tape = Tape()
-        w, b = Tensor(theta[:d, None]), Tensor(theta[d:])
-        logits = tape.linear(x, w, b)
-        loss = tape.bce(tape.sigmoid(logits), y)
+        w.data, b.data = theta[:d, None], theta[d:]
+        w.grad = b.grad = None
+        tape.replay()
         diffcore.backward(loss, tape)
         value = loss.data + np.sum(w.data * w.data) * c
         grad_w = w.grad[:, 0] + 2.0 * c * theta[:d]
         return float(value), np.concatenate([grad_w, b.grad])
 
-    rng = np.random.default_rng(seed)
-    theta0 = np.append(0.01 * rng.normal(size=d), 0.0)
     # gtol bounds each gradient entry, so the 2-norm is at most GRAD_TOL
     res = minimize(loss_and_grad, theta0, jac=True, method="L-BFGS-B",
                    options={"maxiter": MAX_ITERS, "ftol": 0.0,

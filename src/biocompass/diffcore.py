@@ -160,11 +160,12 @@ class Tape:
     rebound into the same leaves (slots). `backward` walks the records in
     reverse after a recording or a replay.
 
-    A forward takes the array to write its output into, or None to
-    allocate one, as a recording does. At its first replay a tape moves
-    every output into its slice of one float64 arena, which each replay
-    then overwrites in place; a replay after new records moves them all
-    into a new arena."""
+    A forward writes its output into the array it is given. Recording
+    allocates that array and runs the forward under a replay's warning
+    rules, so a non-finite output raises the replay's error and no numpy
+    warning. At its first replay a tape moves every output into its slice
+    of one float64 arena, which each replay then overwrites in place; a
+    replay after new records moves them all into a new arena."""
 
     def __init__(self):
         self._records = []    # (output, backward), in recording order
@@ -172,10 +173,14 @@ class Tape:
         self._arena = None    # every output's values, from the first replay
         self._bound = 0       # how many records the arena holds
 
-    def _record(self, context: str, forward, backward_fn) -> Tensor:
-        """Run `forward` and record its output under `context`, the name
-        that its finiteness check gives."""
-        out = Tensor(forward(None), context=context)
+    def _record(self, context: str, shape, forward, backward_fn) -> Tensor:
+        """Run `forward` into a new array of `shape`, with floating-point
+        warnings off as in a replay, and record its output under
+        `context`, the name that its finiteness check gives."""
+        data = np.empty(shape)
+        with np.errstate(all="ignore"):
+            forward(data)
+        out = Tensor(data, context=context)
         self._records.append((out, backward_fn))
         self._forwards.append((out, forward, context))
         return out
@@ -227,7 +232,7 @@ class Tape:
             )
 
         def forward(out):
-            return np.matmul(a.data, b.data, out=out)
+            np.matmul(a.data, b.data, out=out)
 
         def backward(grad):
             if a.needs_grad:
@@ -235,7 +240,8 @@ class Tape:
             if b.needs_grad:
                 b.accumulate_from(np.matmul, a.data.T, grad)
 
-        return self._record("matmul", forward, backward)
+        return self._record("matmul", (a.data.shape[0], b.data.shape[1]),
+                            forward, backward)
 
     def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         """Affine map x[m, k] @ w[k, n] + b[n] as one record."""
@@ -248,9 +254,8 @@ class Tape:
             )
 
         def forward(out):
-            out = np.matmul(x.data, w.data, out=out)
+            np.matmul(x.data, w.data, out=out)
             out += b.data
-            return out
 
         def backward(grad):
             if x.needs_grad:
@@ -260,7 +265,8 @@ class Tape:
             if b.needs_grad:
                 b.accumulate_from(np.add.reduce, grad, 0)
 
-        return self._record("linear", forward, backward)
+        return self._record("linear", (x.data.shape[0], w.data.shape[1]),
+                            forward, backward)
 
     def weighted_sum(self, terms, weights) -> Tensor:
         """((t0 * w0 + t1 * w1) + t2 * w2) + ... over same-shaped tensors
@@ -276,10 +282,9 @@ class Tape:
         (t0, w0), *rest = zip(terms, weights)
 
         def forward(out):
-            out = np.multiply(t0.data, w0, out=out)
+            np.multiply(t0.data, w0, out=out)
             for t, w in rest:
                 out += t.data * w
-            return out
 
         def scalar_forward(out):
             # 0-d terms, as in a sum of losses: scalars round as 0-d ufunc
@@ -287,14 +292,15 @@ class Tape:
             total = float(t0.data) * w0
             for t, w in rest:
                 total += float(t.data) * w
-            return _into(out, total)
+            out[()] = total
 
         def backward(grad):
             for t, w in zip(terms, weights):
                 t.accumulate(grad * w)
 
-        return self._record("weighted_sum",
-                            scalar_forward if shapes == {()} else forward,
+        (shape,) = shapes
+        return self._record("weighted_sum", shape,
+                            scalar_forward if shape == () else forward,
                             backward)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
@@ -302,70 +308,56 @@ class Tape:
             raise ValueError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
 
         def forward(out):
-            return np.multiply(a.data, b.data, out=out)
+            np.multiply(a.data, b.data, out=out)
 
         def backward(grad):
             a.accumulate(grad * b.data)
             b.accumulate(grad * a.data)
 
-        return self._record("mul", forward, backward)
+        return self._record("mul", a.data.shape, forward, backward)
 
     def relu(self, x: Tensor) -> Tensor:
-        mask = None
+        mask = np.empty(x.data.shape, dtype=bool)
 
         def forward(out):
-            nonlocal mask
-            if out is None:
-                # arrays, 0-d ones too, for a replay to write into
-                mask = np.empty(x.data.shape, dtype=bool)
-                out = np.empty(x.data.shape)
             # subgradient at 0 is defined as 0
             np.greater(x.data, 0.0, out=mask)
             out.fill(0.0)
             np.copyto(out, x.data, where=mask)
-            return out
 
         def backward(grad):
             x.accumulate(grad * mask)
 
-        return self._record("relu", forward, backward)
+        return self._record("relu", x.data.shape, forward, backward)
 
     def sigmoid(self, x: Tensor) -> Tensor:
         s = None
 
         def forward(out):
             nonlocal s
-            s = (_stable_sigmoid(x.data) if out is None
-                 else _sigmoid_into(x.data, out))
-            return s
+            s = _sigmoid_into(x.data, out)
 
         def backward(grad):
             x.accumulate(grad * s * (1.0 - s))
 
-        return self._record("sigmoid", forward, backward)
+        return self._record("sigmoid", x.data.shape, forward, backward)
 
     def softplus(self, x: Tensor) -> Tensor:
-        s = None
+        s = np.empty(x.data.shape)
 
         def forward(out):
-            nonlocal s
-            if out is None:
-                # arrays, 0-d ones too, for a replay to write into
-                s = np.asarray(_stable_sigmoid(x.data))
-                out = np.empty(x.data.shape)
-            else:
-                _sigmoid_into(x.data, s)
+            _sigmoid_into(x.data, s)
             # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), which never overflows
             np.abs(x.data, out=out)
             np.negative(out, out=out)
             np.exp(out, out=out)
             np.log1p(out, out=out)
-            return np.add(np.maximum(x.data, 0.0), out, out=out)
+            np.add(np.maximum(x.data, 0.0), out, out=out)
 
         def backward(grad):
             x.accumulate(grad * s)
 
-        return self._record("softplus", forward, backward)
+        return self._record("softplus", x.data.shape, forward, backward)
 
     def mse(self, pred: Tensor, target: np.ndarray | Tensor,
             mask: np.ndarray | Tensor | None = None) -> Tensor:
@@ -394,12 +386,12 @@ class Tape:
             err = pred.data - target.data
             # no mask weighs every cell 1, and 1.0 * err is err
             diff = err if mask is None else mask.data * err
-            return _into(out, np.add.reduce(diff * err, axis=None) / batch)
+            out[()] = np.add.reduce(diff * err, axis=None) / batch
 
         def backward(grad):
             pred.accumulate(grad * 2.0 * diff / batch)
 
-        return self._record("mse", forward, backward)
+        return self._record("mse", (), forward, backward)
 
     def bce(self, prob: Tensor, labels: np.ndarray | Tensor) -> Tensor:
         """Mean binary cross-entropy; probabilities clamped to [eps, 1-eps].
@@ -421,25 +413,15 @@ class Tape:
             # maximum/minimum: np.clip's values without its Python overhead
             clamped = np.minimum(np.maximum(prob.data, BCE_EPS), 1.0 - BCE_EPS)
             inside = (prob.data > BCE_EPS) & (prob.data < 1.0 - BCE_EPS)
-            return _into(out, -np.add.reduce(
+            out[()] = -np.add.reduce(
                 y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped),
-                axis=None) / batch)
+                axis=None) / batch
 
         def backward(grad):
             d = (clamped - y) / (clamped * (1.0 - clamped)) / batch
             prob.accumulate(grad * d * inside)
 
-        return self._record("bce", forward, backward)
-
-
-def _into(out: np.ndarray | None, value):
-    """A 0-d forward's `value`, a scalar, written into the 0-d `out` when
-    one is given. Scalars round as 0-d arrays do, and a ufunc call on a
-    0-d array costs about ten times a scalar operation."""
-    if out is None:
-        return value
-    out[()] = value
-    return out
+        return self._record("bce", (), forward, backward)
 
 
 def _as_constant(values: np.ndarray | Tensor) -> Tensor:
@@ -450,19 +432,11 @@ def _as_constant(values: np.ndarray | Tensor) -> Tensor:
     return Constant.prechecked(np.asarray(values, dtype=np.float64))
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-x) overflows to inf for x < -709.78, where 1 / (1 + inf) = 0 is
-    # the right limit. maximum/minimum give np.clip's values without its
-    # few microseconds of Python overhead, which show on (n, 1) logits
-    with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-x))
-    return np.minimum(np.maximum(s, SIGMOID_LO), SIGMOID_HI)
-
-
 def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`_stable_sigmoid(x)` by the same operations, in place in `out`, for
-    a replay: its allocations and its `np.errstate` cost more than the
-    arithmetic on small arrays, and `Tape.replay` silences the overflow."""
+    """`1 / (1 + exp(-x))` clipped to [SIGMOID_LO, SIGMOID_HI], in place in
+    `out`. exp(-x) overflows to inf for x < -709.78, where 1 / (1 + inf) = 0
+    is the right limit: callers run it with the overflow warning off.
+    maximum/minimum give np.clip's values without its Python overhead."""
     np.negative(x, out=out)
     np.exp(out, out=out)
     out += 1.0

@@ -16,7 +16,8 @@ from test_data import _dataset_from_tpm
 
 
 def counted_tapes(monkeypatch) -> list:
-    """Every tape that fit_logreg builds from now on: one per evaluation."""
+    """Every tape that the baselines build from now on: one per fit_logreg
+    call, which each evaluation replays, and one per predict_proba call."""
     tapes = []
 
     class CountedTape(diffcore.Tape):
@@ -272,12 +273,46 @@ class TestFitLogreg:
             calls[context] = calls.get(context, 0) + 1
             check_finite(values, context)
         monkeypatch.setattr(diffcore, "_check_finite", scan)
+        evaluations = []
+        run_backward = diffcore.backward
+
+        def counted_backward(loss, tape):
+            evaluations.append(tape)
+            run_backward(loss, tape)
+        monkeypatch.setattr(diffcore, "backward", counted_backward)
         x = rng.normal(size=(30, 3))
         y = (x[:, 0] > 0).astype(int)
         fit_logreg(x, y)
-        assert len(tapes) > 1
+        # one recording, replayed by every L-BFGS-B evaluation
+        assert len(tapes) == 1
+        assert len(evaluations) > 1
+        assert all(tape is tapes[0] for tape in evaluations)
         assert calls["check_labels"] == 1
         assert calls["constant"] == 1
+
+    def test_non_finite_theta_is_named_by_the_replay(self, rng, monkeypatch):
+        def one_nan_evaluation(fun, x0, **kwargs):
+            theta = x0.copy()
+            theta[0] = np.nan
+            fun(theta)
+        monkeypatch.setattr("scipy.optimize.minimize", one_nan_evaluation)
+        x = rng.normal(size=(20, 2))
+        y = np.array([0, 1] * 10)
+        with pytest.raises(diffcore.NonFiniteError, match="linear"):
+            fit_logreg(x, y)
+
+    def test_probabilities_are_checked_and_strictly_inside_0_1(self):
+        lm = baselines.LinearModel(weights=np.array([1.0]), bias=0.0,
+                                   feature_mean=np.zeros(1),
+                                   feature_std=np.ones(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = lm.predict_proba(np.array([[1000.0], [-1000.0]]))
+        assert probs.tolist() == [diffcore.SIGMOID_HI, diffcore.SIGMOID_LO]
+        assert ((probs > 0.0) & (probs < 1.0)).all()
+        with pytest.raises(diffcore.NonFiniteError,
+                           match="non-finite value in constant"):
+            lm.predict_proba(np.array([[0.5], [np.nan]]))
 
     def test_matches_closed_form_optimum_condition(self, rng):
         # at the optimum: X^T (p - y) / n + (l2/n) w == 0
