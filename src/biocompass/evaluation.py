@@ -509,10 +509,12 @@ def _run_configs(dataset: Dataset, protocol: str, seeds, ablations,
     tasks = [(fold, fold_id, stats[fold_id], seed, runs, train_cfg)
              for fold_id, fold in enumerate(plan.folds)
              for seed in seeds]
-    if jobs > 1:
+    # the pool starts all its workers at once, so it gets no more than tasks
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # each worker receives the dataset once, not once per task
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(dataset,)) as pool:
             results = list(pool.map(_run_task, tasks))
     else:

@@ -1,4 +1,7 @@
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -508,6 +511,99 @@ class TestOptimizers:
                 assert opt.t == 1
             else:
                 opt.step()
+
+    @staticmethod
+    def _wide_params(seed):
+        """An FFT-sized embedding and a head: more than seven blocks, the
+        last one partial."""
+        rng = np.random.default_rng(seed)
+        return [Parameter("encoder.embed", rng.normal(size=(16000, 16))),
+                Parameter("gating.w", rng.normal(size=(16, 44)))]
+
+    def test_helper_steps_equal_inline_steps(self, monkeypatch):
+        def run(helper):
+            monkeypatch.setattr(diffcore, "_helper", lambda: helper)
+            params = self._wide_params(14)
+            opt = Adam(params, lr=0.01)
+            rng = np.random.default_rng(15)
+            for _ in range(4):
+                for p in params:
+                    p.tensor.grad = rng.normal(size=p.data.shape)
+                opt.step()
+            return [x.tobytes() for x in (opt._flat, opt._m, opt._v)]
+
+        size = sum(p.data.size for p in self._wide_params(14))
+        assert size > 3 * diffcore.ADAM_BLOCK and size % diffcore.ADAM_BLOCK
+        threads = []
+
+        def recorded(blocks, *rates):
+            threads.append((threading.get_ident(), len(blocks)))
+            update(blocks, *rates)
+
+        update = diffcore._update
+        monkeypatch.setattr(diffcore, "_update", recorded)
+        inline = run(None)
+        assert {t for t, _ in threads} == {threading.get_ident()}
+        threads.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(1) as pool:
+                assert run(pool) == inline
+        finally:
+            sys.setswitchinterval(interval)
+        # the even blocks on this thread, the odd ones on the helper
+        blocks = -(-size // diffcore.ADAM_BLOCK)
+        mine = (threading.get_ident(), (blocks + 1) // 2)
+        assert len(threads) == 2 * 4 and threads.count(mine) == 4
+        [(helper, n)] = set(threads) - {mine}
+        assert helper != mine[0] and n == blocks // 2
+
+    def test_non_finite_in_a_helper_block_changes_nothing(self, monkeypatch):
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(diffcore, "_helper", lambda: pool)
+            params = self._wide_params(16)
+            opt = Adam(params, lr=0.01)
+            for p in params:
+                p.tensor.grad = np.ones(p.data.shape)
+            opt.step()
+            for p in params:
+                p.tensor.grad = np.ones(p.data.shape)
+            # element ADAM_BLOCK + 5 lies in block 1, an odd block
+            params[0].tensor.grad.ravel()[diffcore.ADAM_BLOCK + 5] = np.nan
+            before = [x.tobytes() for x in (opt._flat, opt._m, opt._v)]
+            with pytest.raises(NonFiniteError, match=r"^non-finite gradient "
+                               r"for parameter encoder\.embed$"):
+                opt.step()
+            assert [x.tobytes() for x in (opt._flat, opt._m, opt._v)] == before
+            assert opt.t == 1
+
+    def test_helper_error_is_raised_after_both_halves(self, monkeypatch):
+        def update(blocks, *rates):
+            if threading.get_ident() != caller:
+                raise RuntimeError("helper failed")
+            ran.append(len(blocks))
+
+        caller, ran = threading.get_ident(), []
+        monkeypatch.setattr(diffcore, "_update", update)
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(diffcore, "_helper", lambda: pool)
+            params = self._wide_params(17)
+            opt = Adam(params, lr=0.01)
+            with pytest.raises(RuntimeError, match="helper failed"):
+                opt.step()
+        assert len(ran) == 1
+
+    def test_one_block_adam_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(diffcore, "_HELPER", None)
+        threads = threading.active_count()
+        p = Parameter("w", np.ones((diffcore.ADAM_BLOCK // 4, 4)))
+        opt = Adam([p], lr=0.01)
+        for _ in range(3):
+            p.tensor.grad = np.ones(p.data.shape)
+            opt.step()
+        assert diffcore._HELPER is None
+        assert threading.active_count() == threads
 
     def test_gradient_never_leaks_into_next_step(self):
         # step 1 gives both parameters a gradient, step 2 only "b", and

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -983,6 +984,64 @@ class TestRunAblation:
         for name in ABLATION_CONFIGS:
             assert (report_bytes(pooled[name], tmp_path / "jobs2" / name)
                     == report_bytes(inline[name], tmp_path / "jobs1" / name))
+
+    def test_jobs_cap_the_pool_at_the_task_count(self, tiny_dataset, kwargs,
+                                                 monkeypatch):
+        """The pool starts every worker at once, so `--jobs` above the task
+        count (4 folds x 1 seed here) would fork idle workers."""
+        import concurrent.futures
+
+        workers = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                workers.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(evaluation, "_WORKER_DATASET", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        for jobs in (2, 4, 16):
+            run_protocol(tiny_dataset, "loco", [0], jobs=jobs,
+                         train_cfg=TrainConfig(epochs=1), **kwargs)
+        assert workers == [2, 4, 4]
+
+    def test_fft_jobs_after_a_threaded_adam_step(self, tmp_path):
+        """A forked worker does not wait on the Adam helper thread of its
+        parent: after a multi-block step here, an FFT run on a cohort whose
+        embedding spans two blocks finishes in workers, with the report of
+        an inline run."""
+        wide = generate_synthetic(SyntheticSpec(
+            n_cohorts=2, samples_per_cohort=(24, 24), n_genes=2100, seed=3))
+        model_cfg = make_model_config(wide, token_dim=16, gate_hidden=4)
+        assert 2100 * 16 > diffcore.ADAM_BLOCK
+        p = diffcore.Parameter("w", np.ones(2 * diffcore.ADAM_BLOCK))
+        p.tensor.grad = np.ones(p.data.shape)
+        Adam([p], lr=0.01).step()
+        train_cfg = TrainConfig(epochs=1, lr=1e-2, mode="fft")
+        reports = {}
+
+        def run(jobs):
+            reports[jobs] = run_protocol(wide, "loco", [0, 1],
+                                         model_cfg=model_cfg,
+                                         train_cfg=train_cfg, jobs=jobs)
+
+        worker = threading.Thread(target=run, args=(2,), daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive(), "the --jobs run did not finish"
+        run(1)
+        assert (report_bytes(reports[2], tmp_path / "jobs2")
+                == report_bytes(reports[1], tmp_path / "jobs1"))
 
     def test_pft_scores_each_run_on_its_task_table(self, tiny_dataset,
                                                    kwargs, monkeypatch):
