@@ -112,18 +112,6 @@ def parse_signature_file(path) -> list:
     return defs
 
 
-def _resolve_genes(dataset: Dataset, sig: SignatureDef, genes) -> list:
-    index = {g: i for i, g in enumerate(dataset.gene_names)}
-    found = [index[g] for g in genes if g in index]
-    missing = len(genes) - len(found)
-    if missing:
-        warnings.warn(f"signature {sig.name}: {missing} gene(s) not in dataset, "
-                      "dropped")
-    if not found:
-        raise SignatureError(f"signature {sig.name}: all genes missing")
-    return found
-
-
 def principal_axes(rows: np.ndarray, k: int) -> tuple:
     """Column means of `rows` and, as the columns of a [G, min(k, n, G)]
     matrix, its k leading principal axes: the right singular vectors of the
@@ -139,24 +127,29 @@ def signature_score(dataset: Dataset, sig: SignatureDef,
     """One score per sample. Mean and PC1 kinds work on the signature's genes,
     log expression standardized on the training rows; pair-ratio indicators
     compare log expression directly (z-scoring would break cross-gene
-    comparability)."""
+    comparability). Genes not in the dataset are dropped with one warning
+    per signature, and so is each pair that lacks one; a signature left
+    with no gene or pair is a SignatureError."""
     logged = dataset.log_expression
-    if sig.kind == "gene_pair_ratio_sum":
-        score = np.zeros(len(dataset))
-        kept = 0
-        for a, b in sig.pairs:
-            try:
-                ia = _resolve_genes(dataset, sig, [a])[0]
-                ib = _resolve_genes(dataset, sig, [b])[0]
-            except SignatureError:
-                continue
-            score += (logged[:, ia] > logged[:, ib]).astype(np.float64)
-            kept += 1
-        if kept == 0:
+    index = {g: i for i, g in enumerate(dataset.gene_names)}
+    pair_kind = sig.kind == "gene_pair_ratio_sum"
+    named = [g for pair in sig.pairs for g in pair] if pair_kind else sig.genes
+    missing = sum(g not in index for g in named)
+    if missing:
+        warnings.warn(f"signature {sig.name}: {missing} gene(s) not in dataset, "
+                      "dropped")
+    if pair_kind:
+        pairs = [(index[a], index[b]) for a, b in sig.pairs
+                 if a in index and b in index]
+        if not pairs:
             raise SignatureError(f"signature {sig.name}: no resolvable pairs")
-        return score
+        a, b = np.array(pairs).T
+        return (logged[:, a] > logged[:, b]).sum(axis=1, dtype=np.float64)
+    found = [index[g] for g in sig.genes if g in index]
+    if not found:
+        raise SignatureError(f"signature {sig.name}: all genes missing")
     train = np.asarray(train_idx)
-    genes = logged[:, _resolve_genes(dataset, sig, sig.genes)]
+    genes = logged[:, found]
     z = apply_normalization(genes, fit_normalization(genes, train))
     if sig.kind == "gene_set_mean":
         return z.mean(axis=1)
@@ -184,7 +177,9 @@ class LinearModel:
 
 def fit_logreg(features: np.ndarray, labels: np.ndarray, l2: float = L2,
                seed: int = 0) -> LinearModel:
-    """L2-regularized logistic regression on standardized features, minimized
+    """L2-regularized logistic regression on features z-scored by
+    `fit_normalization` (a feature constant over the rows gets mean = its
+    value and std 1), minimized
     by L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on the loss and gradient that
     the differentiation core computes, plus the penalty added in numpy.
     `converged` means the gradient's 2-norm at the returned solution is at
@@ -204,10 +199,8 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray, l2: float = L2,
     if len(set(labels.tolist())) < 2:
         raise ValueError("logistic regression needs both classes in training")
     n, d = features.shape
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    x = Constant((features - mean) / std)
+    stats = fit_normalization(features, np.arange(n))
+    x = Constant(apply_normalization(features, stats))
     y = Constant.prechecked(check_labels(labels)[:, None])
     c = 0.5 * l2 / n
     rng = np.random.default_rng(seed)
@@ -230,7 +223,7 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray, l2: float = L2,
                    options={"maxiter": MAX_ITERS, "ftol": 0.0,
                             "gtol": GRAD_TOL / np.sqrt(d + 1)})
     return LinearModel(weights=res.x[:d].copy(), bias=float(res.x[d]),
-                       feature_mean=mean, feature_std=std,
+                       feature_mean=stats.mean, feature_std=stats.std,
                        converged=bool(np.linalg.norm(res.jac) <= GRAD_TOL))
 
 
@@ -277,19 +270,24 @@ def run_baselines(dataset: Dataset, protocol: str, seeds,
     if signatures is None:
         signatures = default_signatures(dataset)
 
-    methods = [(f"sig_{s.name}" if not s.name.startswith("sig") else s.name,
-                ("signature", s)) for s in signatures]
+    # each method's features of every row, from the fold's training rows
+    logged = dataset.log_expression
+    methods = [(s.name if s.name.startswith("sig") else f"sig_{s.name}",
+                lambda train, s=s: signature_score(dataset, s, train)[:, None])
+               for s in signatures]
     if dataset.biomarkers.shape[1] > 0:
-        methods.append(("lr_biomarkers", ("biomarkers", None)))
-    methods.append(("lr_expression", ("expression", None)))
-    methods.append(("pca_lr_expression", ("pca_expression", None)))
+        methods.append(("lr_biomarkers",
+                        lambda train: _filled_biomarkers(dataset, train)))
+    methods.append(("lr_expression", lambda train: logged))
+    methods.append(("pca_lr_expression",
+                    lambda train: _pca_features(logged, train)))
 
     results = []
-    for method_name, (kind, sig) in methods:
+    for method_name, features in methods:
         rows = []
         for fold_id, fold in enumerate(plan.folds):
             try:
-                feats = _baseline_features(dataset, kind, sig, fold.train_idx)
+                feats = features(fold.train_idx)
             except SignatureError as exc:
                 warnings.warn(f"{method_name}: {exc}; skipped")
                 break
@@ -313,20 +311,6 @@ def run_baselines(dataset: Dataset, protocol: str, seeds,
                                      group_sizes=sizes, seeds=list(seeds),
                                      weighted=weighted)))
     return results
-
-
-def _baseline_features(dataset: Dataset, kind: str, sig, train_idx
-                       ) -> np.ndarray:
-    if kind == "signature":
-        return signature_score(dataset, sig, train_idx)[:, None]
-    if kind == "biomarkers":
-        return _filled_biomarkers(dataset, np.asarray(train_idx))
-    logged = dataset.log_expression
-    if kind == "expression":
-        return logged
-    if kind == "pca_expression":
-        return _pca_features(logged, np.asarray(train_idx))
-    raise ValueError(f"unknown baseline kind: {kind!r}")
 
 
 def _filled_biomarkers(dataset: Dataset, train_idx: np.ndarray) -> np.ndarray:

@@ -182,13 +182,26 @@ def _step_table(dataset: Dataset, train_idx: np.ndarray
     each. They come in the order `_RecordedStep` binds them: the treatment
     rows, checked by `treatment_constant`, the label column, checked by
     `check_labels`, then each target block and its mask (`BatchTargets`
-    order, the auxiliary tasks in AUX_TASKS order)."""
+    order, the auxiliary tasks in AUX_TASKS order). A non-finite cell in
+    the table, masked or not, is a NonFiniteError naming its block and
+    dataset row."""
     targets = ("pathway", "pathway_mask", "biomarkers", "biomarker_mask",
                *AUX_TASKS, *(f"{task}_mask" for task in AUX_TASKS))
     blocks = [treatment_constant(dataset.treatments[train_idx]).data,
               check_labels(dataset.response[train_idx])[:, None],
               *(getattr(dataset, name)[train_idx] for name in targets)]
-    return np.concatenate(blocks, axis=1), [b.shape[1] for b in blocks]
+    table = np.concatenate(blocks, axis=1)
+    # finite values sum to a finite value unless the sum overflows, so
+    # only a sum that is not finite calls for a scan
+    with np.errstate(all="ignore"):
+        total = np.add.reduce(table, axis=None)
+    if not math.isfinite(total):
+        for name, block in zip(targets, blocks[2:]):
+            bad = ~np.isfinite(block).all(axis=1)
+            if bad.any():
+                raise NonFiniteError(f"non-finite value in {name} at "
+                                     f"dataset row {train_idx[bad.argmax()]}")
+    return table, [b.shape[1] for b in blocks]
 
 
 class _RecordedStep:
@@ -248,8 +261,9 @@ def train_model(model: Model, dataset: Dataset, train_idx: np.ndarray,
     `_step_table` joined at loop entry, into the recording's buffers and
     replays it. Every check runs once, at loop entry, before any parameter
     changes: a finiteness scan of the training rows of `inputs`, the
-    gate's checks on the treatment rows (`treatment_constant`) and the
-    BCE's on the labels (`check_labels`)."""
+    gate's checks on the treatment rows (`treatment_constant`), the BCE's
+    on the labels (`check_labels`) and a finiteness check of the joined
+    target and mask blocks."""
     model.set_mode(cfg.mode)
     heads = tuple(h for h in SIDE_HEADS if getattr(weights, h) > 0)
     params = model.reached_parameters(heads)

@@ -6,7 +6,7 @@ import pytest
 
 from biocompass import baselines, diffcore
 from biocompass.baselines import (SignatureDef, SignatureError,
-                                  _baseline_features,
+                                  _filled_biomarkers,
                                   default_signatures, fit_logreg,
                                   parse_signature_file, principal_axes,
                                   run_baselines, signature_score)
@@ -146,6 +146,30 @@ class TestSignatureScore:
             signature_score(ds, sig, np.arange(6))
         assert any("dropped" in str(w.message) for w in caught)
 
+    def test_pair_missing_a_gene_dropped_with_one_warning(self):
+        tpm = np.array([[10.0, 1.0, 8.0, 2.0],
+                        [1.0, 10.0, 8.0, 2.0],
+                        [1.0, 10.0, 2.0, 8.0]])
+        ds = _dataset_from_tpm(tpm)
+        sig = SignatureDef("r", "gene_pair_ratio_sum",
+                           pairs=(("g0", "g1"), ("nope", "g3"),
+                                  ("g2", "g3"), ("g1", "nada")))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            score = signature_score(ds, sig, np.arange(3))
+        np.testing.assert_array_equal(score, [2.0, 1.0, 0.0])
+        assert [str(w.message) for w in caught] == [
+            "signature r: 2 gene(s) not in dataset, dropped"]
+
+    def test_no_resolvable_pair_is_an_error(self, rng):
+        ds = _dataset_from_tpm(rng.uniform(0, 10, size=(6, 2)))
+        sig = SignatureDef("r", "gene_pair_ratio_sum",
+                           pairs=(("g0", "nope"), ("nada", "g1")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(SignatureError, match="no resolvable pairs"):
+                signature_score(ds, sig, np.arange(6))
+
     def test_all_genes_missing_is_an_error(self, rng):
         ds = _dataset_from_tpm(rng.uniform(0, 10, size=(6, 2)))
         sig = SignatureDef("s", "gene_set_mean", genes=("nope", "nada"))
@@ -216,6 +240,17 @@ class TestFitLogreg:
         # at the optimum the only force on this weight is the l2 penalty,
         # so |w| <= grad_tol * n / l2
         assert abs(lm.weights[1]) <= 1e-6 * len(y) / 0.1
+
+    def test_training_constant_feature_is_not_divided_by_rounding(self, rng):
+        # 0.1's mean over 150 rows is not 0.1 to the bit, so a std from the
+        # centred values is a rounding residue rather than 0
+        x = np.column_stack([rng.normal(size=150), np.full(150, 0.1)])
+        y = (x[:, 0] > 0).astype(int)
+        lm = fit_logreg(x, y)
+        assert lm.feature_mean[1] == 0.1
+        assert lm.feature_std[1] == 1.0
+        probs = lm.predict_proba(np.array([[0.3, 0.1], [0.3, 0.1000001]]))
+        assert probs[0] == pytest.approx(probs[1], abs=1e-6)
 
     def test_stronger_l2_shrinks_weights(self, rng):
         x = rng.normal(size=(40, 3))
@@ -434,7 +469,7 @@ class TestBiomarkerFeatures:
     def test_fully_observed_columns_pass_through(self, baseline_dataset):
         ds = baseline_dataset
         for fold in split_by_group(ds, "cohort").folds:
-            feats = _baseline_features(ds, "biomarkers", None, fold.train_idx)
+            feats = _filled_biomarkers(ds, fold.train_idx)
             assert feats.tobytes() == ds.biomarkers.tobytes()
 
     def test_masked_cells_take_training_mean(self, baseline_dataset):
@@ -445,8 +480,7 @@ class TestBiomarkerFeatures:
         train = fold.train_idx
         # column 1 unobserved on every training row, observed on test rows
         mask[train, 1] = 0.0
-        feats = _baseline_features(self._masked(ds, mask, 50.0), "biomarkers",
-                                   None, train)
+        feats = _filled_biomarkers(self._masked(ds, mask, 50.0), train)
         observed = train[mask[train, 0] > 0]
         np.testing.assert_allclose(feats[mask[:, 0] == 0, 0],
                                    ds.biomarkers[observed, 0].mean())
@@ -465,8 +499,7 @@ class TestBiomarkerFeatures:
         for hidden in (0.0, 50.0, np.nan):
             masked = self._masked(ds, mask, hidden)
             for fold in split_by_group(ds, "cohort").folds:
-                feats = _baseline_features(masked, "biomarkers", None,
-                                           fold.train_idx)
+                feats = _filled_biomarkers(masked, fold.train_idx)
                 assert np.all(np.isfinite(feats))
             result = [r for r in run_baselines(masked, "loco", [0],
                                                signatures=[])

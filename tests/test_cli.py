@@ -1,5 +1,6 @@
 import csv
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,7 +361,7 @@ class TestErrors:
     def test_unknown_protocol_in_config_fails_before_any_work(
             self, config_path, tmp_path, capsys, command):
         bad = tmp_path / "bad.yaml"
-        bad.write_text(open(config_path).read() + "protocol: xyz\n")
+        bad.write_text(Path(config_path).read_text() + "protocol: xyz\n")
         out = tmp_path / "out"
         assert main([command, "--config", str(bad),
                      "--out-dir", str(out)]) == 1

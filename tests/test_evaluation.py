@@ -627,7 +627,8 @@ def with_row(dataset, column, row, value):
 
 
 # the input checks that train_model runs at loop entry: the mutation, and
-# the error that the step's primitive raises on the raw array
+# the error that the step's primitive raises on the raw array, or for a
+# target or mask block, one that names the block and the mutated row
 LOOP_INPUT_CASES = {
     "label 2": (lambda ds, row: with_row(ds, "response", row, 2),
                 ValueError, "bce labels must be 0 or 1"),
@@ -647,6 +648,23 @@ LOOP_INPUT_CASES = {
     "non-finite multi-hot": (
         lambda ds, row: with_row(ds, "treatments", row, [np.nan, 1.0, 0.0]),
         diffcore.NonFiniteError, "non-finite value in constant"),
+    "pathway NaN": (
+        lambda ds, row: with_row(ds, "pathway", row, np.nan),
+        diffcore.NonFiniteError,
+        "non-finite value in pathway at dataset row {row}$"),
+    "masked pathway NaN": (
+        lambda ds, row: with_row(with_row(ds, "pathway_mask", row, 0.0),
+                                 "pathway", row, np.nan),
+        diffcore.NonFiniteError,
+        "non-finite value in pathway at dataset row {row}$"),
+    "tide inf": (
+        lambda ds, row: with_row(ds, "tide", row, np.inf),
+        diffcore.NonFiniteError,
+        "non-finite value in tide at dataset row {row}$"),
+    "biomarker_mask NaN": (
+        lambda ds, row: with_row(ds, "biomarker_mask", row, np.nan),
+        diffcore.NonFiniteError,
+        "non-finite value in biomarker_mask at dataset row {row}$"),
 }
 
 
@@ -658,12 +676,13 @@ class TestLoopInputChecks:
         mutate, error, message = LOOP_INPUT_CASES[case]
         # the row that the first epoch (seed 5) visits last, as above
         perm = np.random.default_rng(5).permutation(len(train_idx))
-        bad = mutate(dataset, train_idx[perm[-1]])
+        row = train_idx[perm[-1]]
+        bad = mutate(dataset, row)
         cfg = TrainConfig(epochs=1, lr=1e-2, mode=mode)
         model = Model(make_model_config(dataset, token_dim=8, gate_hidden=8),
                       seed=3)
         before = {n: p.data.copy() for n, p in model.params.items()}
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=message.format(row=row)):
             train_model(model, bad, train_idx, x_norm, LossWeights(), cfg, 5)
         for name, p in model.params.items():
             assert np.array_equal(p.data, before[name]), name
